@@ -318,91 +318,216 @@ impl<M: Monitor> Guarded<M> {
     /// confinement, health bookkeeping. `hook` receives the wrapped
     /// monitor's state and returns its verdict.
     ///
-    /// This is the path [`Monitor::try_pre`]/[`Monitor::try_post`] take;
-    /// it is public so drivers that deliver events from *outside* an
-    /// evaluation — a monitor server feeding a session's guard from a
-    /// tape — get identical policy, budget, and health behaviour.
+    /// This is the path [`Monitor::try_pre`]/[`Monitor::try_post`] take,
+    /// and the one-event case of [`Guarded::guard_batch`]: the last good
+    /// state is a clone of the state taken before the hook runs. It is
+    /// public so callers that deliver events from *outside* an
+    /// evaluation get identical policy, budget, and health behaviour.
     pub fn guard_with(
         &self,
-        mut gs: GuardState<M::State>,
+        gs: GuardState<M::State>,
         hook: impl FnOnce(&M, M::State) -> Outcome<M::State>,
     ) -> Outcome<GuardState<M::State>> {
-        // A degraded monitor is the identity monitor: no hook call, no
-        // state change, no verdict.
-        if !gs.health.is_ok() {
-            return Outcome::Continue(gs);
-        }
-        if let Some(max) = self.budget.steps {
-            match &gs.ledger {
-                // Reserve the event slot on the shared ledger first, so
-                // concurrent shards can never jointly exceed the bound.
-                Some(ledger) => {
-                    if ledger.charge(1, Duration::ZERO).0 > max {
-                        gs.health =
-                            Health::OverBudget(format!("step budget of {max} events exhausted"));
-                        return Outcome::Continue(gs);
+        let GuardState {
+            state,
+            health,
+            events,
+            spent,
+            ledger,
+        } = gs;
+        let mut cell = GuardState {
+            state: Some(state),
+            health,
+            events,
+            spent,
+            ledger,
+        };
+        let mut hook = Some(hook);
+        let end = self.run(
+            &mut cell,
+            1,
+            Option::clone,
+            |s, saved| *s = saved,
+            |m, s, _| {
+                let hook = hook.take().expect("one hook per event");
+                match hook(m, s.take().expect("the state is present")) {
+                    Outcome::Continue(next) => {
+                        *s = Some(next);
+                        Outcome::Continue(())
+                    }
+                    Outcome::Abort {
+                        state,
+                        monitor,
+                        reason,
+                    } => {
+                        *s = Some(state);
+                        Outcome::abort((), monitor, reason)
                     }
                 }
-                None => {
-                    if gs.events >= max {
-                        gs.health =
-                            Health::OverBudget(format!("step budget of {max} events exhausted"));
-                        return Outcome::Continue(gs);
-                    }
-                }
-            }
-        }
-        gs.events += 1;
-        // Keep the last good state on this side of the unwind boundary:
-        // if the hook panics, `taken` is consumed and `gs.state` is what
-        // the report shows. Cloning `MS` is cheap for the paper's monitors
-        // (sets, maps, counters — all persistent or small).
-        let taken = gs.state.clone();
-        let started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| hook(&self.inner, taken)));
-        let elapsed = started.elapsed();
-        gs.spent += elapsed;
-        match result {
-            Ok(Outcome::Continue(next)) => {
-                gs.state = next;
-                if let Some(max) = self.budget.wall {
-                    let total_spent = match &gs.ledger {
-                        Some(ledger) => ledger.charge(0, elapsed).1,
-                        None => gs.spent,
-                    };
-                    if total_spent > max {
-                        gs.health = Health::OverBudget(format!("wall budget of {max:?} exhausted"));
-                    }
-                }
-                Outcome::Continue(gs)
-            }
-            Ok(Outcome::Abort {
-                state,
+            },
+        );
+        let gs = GuardState {
+            state: cell.state.expect("the state is restored after a fault"),
+            health: cell.health,
+            events: cell.events,
+            spent: cell.spent,
+            ledger: cell.ledger,
+        };
+        match end {
+            BatchEnd::Continue => Outcome::Continue(gs),
+            BatchEnd::Abort {
+                monitor, reason, ..
+            } => Outcome::Abort {
+                state: gs,
                 monitor,
                 reason,
-            }) => {
-                gs.state = state;
-                gs.health = Health::Aborted(reason.clone());
+            },
+        }
+    }
+
+    /// Runs `events` in-place hook invocations under one guard: the batch
+    /// form of [`Guarded::guard_with`], with the same policy, budget and
+    /// health logic.
+    ///
+    /// * The step budget stays exact per event: the event past the bound
+    ///   is not delivered, and the monitor degrades there.
+    /// * Panic confinement and the clock run once per batch. Before each
+    ///   event the guard takes `snapshot` of the state, so a panic
+    ///   mid-batch `restore`s the state after the last good event. The
+    ///   snapshot need only cover what a faulting `step` may have
+    ///   changed, which for a monitor with a `Copy` core is that core.
+    /// * The wall budget is charged and checked once per batch.
+    /// * An abort verdict ends the batch at its event; under
+    ///   [`FaultPolicy::Fatal`] it is returned with the event's index.
+    ///
+    /// `step(monitor, state, i)` delivers event `i` of the batch. Once
+    /// the monitor is degraded the rest of the batch is skipped: the
+    /// identity monitor.
+    pub fn guard_batch<C>(
+        &self,
+        gs: &mut GuardState<M::State>,
+        events: usize,
+        snapshot: impl Fn(&M::State) -> C,
+        restore: impl Fn(&mut M::State, C),
+        step: impl FnMut(&M, &mut M::State, usize) -> Outcome<()>,
+    ) -> BatchEnd {
+        self.run(gs, events, snapshot, restore, step)
+    }
+
+    /// The one guard loop behind [`Guarded::guard_with`] and
+    /// [`Guarded::guard_batch`], generic over how the state is held.
+    fn run<T, C>(
+        &self,
+        gs: &mut GuardState<T>,
+        n: usize,
+        snapshot: impl Fn(&T) -> C,
+        restore: impl Fn(&mut T, C),
+        mut step: impl FnMut(&M, &mut T, usize) -> Outcome<()>,
+    ) -> BatchEnd {
+        // A degraded monitor is the identity monitor: no hook call, no
+        // state change, no verdict.
+        if !gs.health.is_ok() || n == 0 {
+            return BatchEnd::Continue;
+        }
+        let GuardState {
+            state,
+            health,
+            events,
+            spent,
+            ledger,
+        } = gs;
+        let mut saved: Option<C> = None;
+        let started = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            for i in 0..n {
+                if let Some(max) = self.budget.steps {
+                    let over = match ledger {
+                        // Reserve the event slot on the shared ledger
+                        // first, so concurrent shards can never jointly
+                        // exceed the bound.
+                        Some(ledger) => ledger.charge(1, Duration::ZERO).0 > max,
+                        None => *events >= max,
+                    };
+                    if over {
+                        *health =
+                            Health::OverBudget(format!("step budget of {max} events exhausted"));
+                        return None;
+                    }
+                }
+                *events += 1;
+                // The last good state stays on this side of the unwind
+                // boundary.
+                saved = Some(snapshot(state));
+                if let Outcome::Abort {
+                    monitor, reason, ..
+                } = step(&self.inner, state, i)
+                {
+                    return Some((i, monitor, reason));
+                }
+            }
+            None
+        }));
+        let elapsed = started.elapsed();
+        *spent += elapsed;
+        match result {
+            Ok(None) => {
+                if let (Some(max), true) = (self.budget.wall, health.is_ok()) {
+                    let total_spent = match ledger {
+                        Some(ledger) => ledger.charge(0, elapsed).1,
+                        None => *spent,
+                    };
+                    if total_spent > max {
+                        *health = Health::OverBudget(format!("wall budget of {max:?} exhausted"));
+                    }
+                }
+                BatchEnd::Continue
+            }
+            Ok(Some((index, monitor, reason))) => {
+                *health = Health::Aborted(reason.clone());
                 match self.policy {
-                    FaultPolicy::Fatal => Outcome::Abort {
-                        state: gs,
+                    FaultPolicy::Fatal => BatchEnd::Abort {
+                        index,
                         monitor,
                         reason,
                     },
                     // Confined: the verdict is recorded but the run goes
                     // on without the monitor.
-                    FaultPolicy::Quarantine => Outcome::Continue(gs),
+                    FaultPolicy::Quarantine => BatchEnd::Continue,
                 }
             }
-            Err(payload) => match self.policy {
-                FaultPolicy::Fatal => std::panic::resume_unwind(payload),
-                FaultPolicy::Quarantine => {
-                    gs.health = Health::Quarantined(panic_message(payload.as_ref()));
-                    Outcome::Continue(gs)
+            Err(payload) => {
+                if let Some(last_good) = saved {
+                    restore(state, last_good);
                 }
-            },
+                match self.policy {
+                    FaultPolicy::Fatal => std::panic::resume_unwind(payload),
+                    FaultPolicy::Quarantine => {
+                        *health = Health::Quarantined(panic_message(payload.as_ref()));
+                        BatchEnd::Continue
+                    }
+                }
+            }
         }
     }
+}
+
+/// How a [`Guarded::guard_batch`] run ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BatchEnd {
+    /// The batch was delivered, or the monitor degraded (panic or abort
+    /// confined by [`FaultPolicy::Quarantine`], or a budget exhausted)
+    /// and skipped the rest of it.
+    Continue,
+    /// Event `index` produced an abort verdict and the policy is
+    /// [`FaultPolicy::Fatal`]: the events after it were not delivered.
+    Abort {
+        /// The aborting event's index in the batch.
+        index: usize,
+        /// The monitor that aborted.
+        monitor: String,
+        /// Why.
+        reason: String,
+    },
 }
 
 /// Best-effort rendering of a panic payload (`panic!` with a literal gives

@@ -94,13 +94,13 @@ pub mod tape;
 pub mod tiered;
 
 pub use compose::{Compose, MonitorStack};
-pub use fault::{Budget, BudgetLedger, FaultPolicy, GuardState, Guarded, Health};
+pub use fault::{BatchEnd, Budget, BudgetLedger, FaultPolicy, GuardState, Guarded, Health};
 pub use machine::{eval_monitored, eval_monitored_stats_with, eval_monitored_with};
 pub use parallel::{eval_parallel, eval_parallel_with, ParOptions};
 pub use scope::Scope;
 pub use spec::{DynMonitor, HookPhase, IdentityMonitor, MergeMonitor, Monitor, Outcome};
 pub use tape::{
-    record_monitored, record_monitored_with, MemorySink, SharedSink, TapeEvent, TapePhase,
-    TapeSink, Taping, ValueDesc,
+    fold_owned, record_monitored, record_monitored_with, EventView, FoldEnd, MemorySink,
+    OwnedViews, SharedSink, Strings, TapeEvent, TapePhase, TapeSink, Taping, ValueDesc, NO_STRING,
 };
 pub use tiered::{Relatives, SpecTree, TierPolicy, TierStats};

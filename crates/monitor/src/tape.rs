@@ -173,6 +173,169 @@ impl TapeEvent {
     }
 }
 
+/// The id of "no string": the display of an event without a value, and
+/// the namespace and name of a `done` event.
+pub const NO_STRING: u32 = u32::MAX;
+
+/// One event as a borrowed, symbol-indexed view: a [`TapeEvent`] whose
+/// strings are ids into a [`Strings`] table instead of owned text.
+///
+/// A decoded tape is a string table plus a slice of views, so decoding
+/// allocates nothing per event, and a monitor resolves each *string*
+/// (not each event) against its spec once per table. Every tape fold —
+/// offline checks, checkpoint writing and seeking, the monitor server's
+/// ingest and hot-swap splice — runs over views.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventView {
+    /// Which hook fired.
+    pub phase: TapePhase,
+    /// String id of the annotation's namespace.
+    pub namespace: u32,
+    /// String id of the annotation symbol.
+    pub name: u32,
+    /// String id of the value's display ([`NO_STRING`] when the event
+    /// carries no value).
+    pub display: u32,
+    /// The value, when it was an integer.
+    pub int: Option<i64>,
+    /// Whether the value was a definitely-unsorted list.
+    pub unsorted: bool,
+    /// The step index.
+    pub step: u64,
+    /// The timestamp, on timed tapes.
+    pub time: Option<u64>,
+}
+
+/// The string table [`EventView`]s index.
+pub trait Strings {
+    /// The string with id `id`; `""` for [`NO_STRING`] or an id past the
+    /// table (decoders reject such ids, so folds never see one).
+    fn get(&self, id: u32) -> &str;
+}
+
+impl Strings for [&str] {
+    fn get(&self, id: u32) -> &str {
+        <[&str]>::get(self, id as usize).copied().unwrap_or("")
+    }
+}
+
+/// How a fold over a run of [`EventView`]s stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldEnd {
+    /// Every event was folded.
+    End,
+    /// The view at this index is a [`TapePhase::Done`] marker; it was not
+    /// folded.
+    Done(usize),
+    /// The event at this index was folded and produced an abort verdict.
+    Abort(usize),
+}
+
+/// Views over owned [`TapeEvent`]s: the adapter that lets a `&TapeEvent`
+/// path (an in-memory tape, a [`TapeSink`] recording, a per-event
+/// request) run the same view fold as a decoded tape. Each event
+/// contributes its own three strings, so building the views copies no
+/// text; the buffers are reused across [`OwnedViews::clear`].
+#[derive(Debug, Default)]
+pub struct OwnedViews<'a> {
+    strings: Vec<&'a str>,
+    views: Vec<EventView>,
+}
+
+impl<'a> OwnedViews<'a> {
+    /// Empty buffers.
+    pub fn new() -> OwnedViews<'a> {
+        OwnedViews::default()
+    }
+
+    /// Views over `events`.
+    pub fn of(events: impl IntoIterator<Item = &'a TapeEvent>) -> OwnedViews<'a> {
+        let mut v = OwnedViews::new();
+        for ev in events {
+            v.push(ev);
+        }
+        v
+    }
+
+    /// Appends one event.
+    pub fn push(&mut self, ev: &'a TapeEvent) {
+        let id = |strings: &mut Vec<&'a str>, s: &'a str| {
+            strings.push(s);
+            (strings.len() - 1) as u32
+        };
+        let (namespace, name) = match ev.phase {
+            TapePhase::Done => (NO_STRING, NO_STRING),
+            _ => (
+                id(&mut self.strings, &ev.namespace),
+                id(&mut self.strings, &ev.name),
+            ),
+        };
+        let value = ev.value.as_ref().filter(|_| ev.phase == TapePhase::Post);
+        self.views.push(EventView {
+            phase: ev.phase,
+            namespace,
+            name,
+            display: value.map_or(NO_STRING, |d| id(&mut self.strings, &d.display)),
+            int: value.and_then(|d| d.int),
+            unsorted: value.is_some_and(|d| d.unsorted),
+            step: ev.step,
+            time: ev.time,
+        });
+    }
+
+    /// Number of events held.
+    pub fn len(&self) -> usize {
+        self.views.len()
+    }
+
+    /// Whether no event is held.
+    pub fn is_empty(&self) -> bool {
+        self.views.is_empty()
+    }
+
+    /// Drops the events, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.strings.clear();
+        self.views.clear();
+    }
+
+    /// The views, in event order.
+    pub fn views(&self) -> &[EventView] {
+        &self.views
+    }
+}
+
+impl Strings for OwnedViews<'_> {
+    fn get(&self, id: u32) -> &str {
+        Strings::get(&self.strings[..], id)
+    }
+}
+
+/// Events per run of views when owned events are folded as views.
+const OWNED_CHUNK: usize = 256;
+
+/// Feeds `events` to `fold` as views, a run of at most 256 events at a
+/// time, so a `&TapeEvent` source runs the view fold without a view
+/// buffer the size of the whole tape. `fold` returns `false` to stop.
+pub fn fold_owned<'a>(
+    events: impl IntoIterator<Item = &'a TapeEvent>,
+    mut fold: impl FnMut(&OwnedViews<'a>) -> bool,
+) {
+    let mut views = OwnedViews::new();
+    for ev in events {
+        views.push(ev);
+        if views.len() >= OWNED_CHUNK {
+            if !fold(&views) {
+                return;
+            }
+            views.clear();
+        }
+    }
+    if !views.is_empty() {
+        fold(&views);
+    }
+}
+
 /// Where recorded events go. Implementations must tolerate being called
 /// from whichever thread currently holds the [`SharedSink`] lock.
 pub trait TapeSink {

@@ -27,7 +27,8 @@
 use crate::ast::{Agg, Cond, SpecAst, StreamDef, ValueExpr, WindowSpec};
 use crate::eval::{Contribution, Pane, PANES};
 use crate::parser::parse_stream_src;
-use monsem_tspec::{Atom, CmpOp, Pred, SpecError};
+use monsem_syntax::Ident;
+use monsem_tspec::{Atom, CmpOp, NamePat, Pred, SpecError};
 use std::collections::HashMap;
 
 /// Cap on declarations of each kind (streams, triggers, deadlines).
@@ -146,6 +147,9 @@ pub struct StreamSpec {
     observes_pre: bool,
     observes_post: bool,
     uses_unsorted: bool,
+    /// The distinct event names the predicates mention: a tape's name
+    /// strings resolve to an index here once per string table.
+    names: Vec<Ident>,
     memory: MemoryReport,
 }
 
@@ -196,6 +200,17 @@ impl StreamSpec {
     /// Whether any predicate in the spec can hold of a `post` event.
     pub fn observes_post(&self) -> bool {
         self.observes_post
+    }
+
+    /// The distinct event names the spec's predicates mention.
+    pub(crate) fn names(&self) -> &[Ident] {
+        &self.names
+    }
+
+    /// The index in [`StreamSpec::names`] of the name spelled `text`,
+    /// if the spec mentions it.
+    pub(crate) fn name_index(&self, text: &str) -> Option<usize> {
+        self.names.iter().position(|n| n.as_str() == text)
     }
 
     /// Whether any predicate uses the `unsorted` structural atom (if not,
@@ -297,11 +312,22 @@ fn compile(src: &str, ast: &SpecAst) -> Result<StreamSpec, SpecError> {
     let mut observes_pre = false;
     let mut observes_post = false;
     let mut uses_unsorted = false;
+    let mut names: Vec<Ident> = Vec::new();
     {
         let mut see = |pred: &Pred| {
             observes_pre |= may_match(pred, PhaseView::Pre).0;
             observes_post |= may_match(pred, PhaseView::Post).0;
-            pred.visit_atoms(&mut |a| uses_unsorted |= matches!(a, Atom::Unsorted));
+            pred.visit_atoms(&mut |a| match a {
+                Atom::Unsorted => uses_unsorted = true,
+                Atom::Pre(NamePat::Name(id))
+                | Atom::Post(NamePat::Name(id))
+                | Atom::At(NamePat::Name(id))
+                    if !names.contains(id) =>
+                {
+                    names.push(id.clone())
+                }
+                _ => {}
+            });
         };
         for s in &streams {
             if let RStreamKind::Aggregate { pred, .. } = &s.kind {
@@ -327,6 +353,7 @@ fn compile(src: &str, ast: &SpecAst) -> Result<StreamSpec, SpecError> {
         observes_pre,
         observes_post,
         uses_unsorted,
+        names,
         memory,
     })
 }

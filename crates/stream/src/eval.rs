@@ -26,6 +26,7 @@
 use crate::ast::{Agg, WindowSpec};
 use crate::compile::{RCond, RExpr, RStreamKind};
 use monsem_monitor::tape::TapePhase;
+use monsem_syntax::Ident;
 use monsem_tspec::{Atom, NamePat, Pred};
 use std::collections::VecDeque;
 
@@ -60,35 +61,71 @@ impl EvView<'static> {
     }
 }
 
-fn name_matches(pat: &NamePat, name: &str) -> bool {
+/// What the evaluator reads of an event. [`EvView`] carries its name as
+/// text; a tape fold's event carries the name already resolved against
+/// the names the spec mentions, so predicates compare symbols instead of
+/// strings.
+pub trait StreamEvent {
+    /// Which hook fired (or `Done` at trace end).
+    fn phase(&self) -> TapePhase;
+    /// Whether the event's annotation name is `id`.
+    fn name_is(&self, id: &Ident) -> bool;
+    /// The annotation name's text (for shard tapes and firing reasons).
+    fn name(&self) -> &str;
+    /// The observed integer value, for `post` events that produced one.
+    fn int(&self) -> Option<i64>;
+    /// Whether the observed value is a definitely-unsorted list.
+    fn unsorted(&self) -> bool;
+}
+
+impl StreamEvent for EvView<'_> {
+    fn phase(&self) -> TapePhase {
+        self.phase
+    }
+
+    fn name_is(&self, id: &Ident) -> bool {
+        id.as_str() == self.name
+    }
+
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn int(&self) -> Option<i64> {
+        self.int
+    }
+
+    fn unsorted(&self) -> bool {
+        self.unsorted
+    }
+}
+
+fn name_matches<E: StreamEvent + ?Sized>(pat: &NamePat, ev: &E) -> bool {
     match pat {
         NamePat::Any => true,
-        NamePat::Name(id) => id.as_str() == name,
+        NamePat::Name(id) => ev.name_is(id),
     }
 }
 
 /// Evaluates one tspec atom against an event view. This is the stream
 /// crate's direct (non-automaton) reading of the shared predicate layer;
 /// it agrees with the DFA alphabet abstraction on every atom.
-pub fn atom_holds(atom: &Atom, ev: &EvView<'_>) -> bool {
+pub fn atom_holds<E: StreamEvent + ?Sized>(atom: &Atom, ev: &E) -> bool {
+    let phase = ev.phase();
     match atom {
         Atom::True => true,
         Atom::False => false,
-        Atom::Pre(pat) => ev.phase == TapePhase::Pre && name_matches(pat, ev.name),
-        Atom::Post(pat) => ev.phase == TapePhase::Post && name_matches(pat, ev.name),
-        Atom::At(pat) => {
-            matches!(ev.phase, TapePhase::Pre | TapePhase::Post) && name_matches(pat, ev.name)
-        }
-        Atom::Done => ev.phase == TapePhase::Done,
-        Atom::Value(op, n) => {
-            ev.phase == TapePhase::Post && ev.int.is_some_and(|v| op.holds(v, *n))
-        }
-        Atom::Unsorted => ev.phase == TapePhase::Post && ev.unsorted,
+        Atom::Pre(pat) => phase == TapePhase::Pre && name_matches(pat, ev),
+        Atom::Post(pat) => phase == TapePhase::Post && name_matches(pat, ev),
+        Atom::At(pat) => matches!(phase, TapePhase::Pre | TapePhase::Post) && name_matches(pat, ev),
+        Atom::Done => phase == TapePhase::Done,
+        Atom::Value(op, n) => phase == TapePhase::Post && ev.int().is_some_and(|v| op.holds(v, *n)),
+        Atom::Unsorted => phase == TapePhase::Post && ev.unsorted(),
     }
 }
 
 /// Evaluates a tspec predicate against an event view.
-pub fn pred_holds(pred: &Pred, ev: &EvView<'_>) -> bool {
+pub fn pred_holds<E: StreamEvent + ?Sized>(pred: &Pred, ev: &E) -> bool {
     match pred {
         Pred::Atom(a) => atom_holds(a, ev),
         Pred::Not(p) => !pred_holds(p, ev),
@@ -113,7 +150,7 @@ pub fn eval_expr(e: &RExpr, values: &[Option<i64>]) -> Option<i64> {
 
 /// Evaluates a resolved trigger condition. Comparisons with an undefined
 /// side are false; `not` is classical.
-pub fn eval_cond(c: &RCond, values: &[Option<i64>], ev: &EvView<'_>) -> bool {
+pub fn eval_cond<E: StreamEvent + ?Sized>(c: &RCond, values: &[Option<i64>], ev: &E) -> bool {
     match c {
         RCond::Event(p) => pred_holds(p, ev),
         RCond::Cmp(a, op, b) => match (eval_expr(a, values), eval_expr(b, values)) {

@@ -65,9 +65,9 @@ pub use ast::{
     WindowSpec,
 };
 pub use compile::{MemoryReport, StreamMemory, StreamSpec, MAX_DECLS};
-pub use eval::{DeadlineState, EvView, PANES};
+pub use eval::{DeadlineState, EvView, StreamEvent, PANES};
 pub use monitor::{
-    Firing, ShardEvent, StreamCheck, StreamMonitor, StreamShardTape, StreamState,
+    Firing, ShardEvent, StreamCheck, StreamMonitor, StreamResolution, StreamShardTape, StreamState,
     DEFAULT_FIRINGS_CAP, DEFAULT_REPLAY_CAP,
 };
 pub use parser::{parse_stream_src, MAX_EVENT_WINDOW, RESERVED};

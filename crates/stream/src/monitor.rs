@@ -25,12 +25,14 @@
 
 use crate::compile::{RStreamKind, StreamSpec};
 use crate::eval::{
-    eval_cond, eval_expr, pred_holds, AggState, Contribution, DeadlineState, EvView,
+    eval_cond, eval_expr, pred_holds, AggState, Contribution, DeadlineState, EvView, StreamEvent,
 };
 use monsem_core::Value;
-use monsem_monitor::tape::{value_is_unsorted, TapeEvent, TapePhase};
+use monsem_monitor::tape::{
+    fold_owned, value_is_unsorted, EventView, FoldEnd, Strings, TapeEvent, TapePhase, NO_STRING,
+};
 use monsem_monitor::{HookPhase, MergeMonitor, Monitor, Outcome, Scope};
-use monsem_syntax::{Annotation, Expr, Namespace};
+use monsem_syntax::{Annotation, Expr, Ident, Namespace};
 use monsem_tspec::SpecError;
 use std::sync::Arc;
 use std::time::Instant;
@@ -272,11 +274,11 @@ impl StreamMonitor {
         out
     }
 
-    fn describe_event(ev: &EvView<'_>) -> String {
-        match (ev.phase, ev.int) {
-            (TapePhase::Pre, _) => format!("pre {}", ev.name),
-            (TapePhase::Post, Some(v)) => format!("post {} = {v}", ev.name),
-            (TapePhase::Post, None) => format!("post {}", ev.name),
+    fn describe_event<E: StreamEvent + ?Sized>(ev: &E) -> String {
+        match (ev.phase(), ev.int()) {
+            (TapePhase::Pre, _) => format!("pre {}", ev.name()),
+            (TapePhase::Post, Some(v)) => format!("post {} = {v}", ev.name()),
+            (TapePhase::Post, None) => format!("post {}", ev.name()),
             (TapePhase::Done, _) => "done".to_string(),
         }
     }
@@ -297,18 +299,33 @@ impl StreamMonitor {
         step: Option<u64>,
         time_hint: Option<u64>,
     ) -> Outcome<StreamState> {
-        if !self.observes_phase(ev.phase) {
-            return Outcome::Continue(s);
+        match self.step_in_place(&mut s, ev, step, time_hint) {
+            Some(reason) => Outcome::abort(s, self.name.clone(), reason),
+            None => Outcome::Continue(s),
+        }
+    }
+
+    /// [`StreamMonitor::step_event`] in place, for any event
+    /// representation; returns the abort reason of an enforcing firing.
+    fn step_in_place<E: StreamEvent + ?Sized>(
+        &self,
+        s: &mut StreamState,
+        ev: &E,
+        step: Option<u64>,
+        time_hint: Option<u64>,
+    ) -> Option<String> {
+        if !self.observes_phase(ev.phase()) {
+            return None;
         }
         let raw = time_hint.or_else(|| self.wall_now()).unwrap_or(s.events);
         let t = raw.max(s.last_time);
         s.last_time = t;
         if let Some(tape) = &mut s.tape {
             tape.push(ShardEvent {
-                phase: ev.phase,
-                name: ev.name.to_string(),
-                int: ev.int,
-                unsorted: ev.unsorted,
+                phase: ev.phase(),
+                name: ev.name().to_string(),
+                int: ev.int(),
+                unsorted: ev.unsorted(),
                 time: t,
                 step,
             });
@@ -319,7 +336,7 @@ impl StreamMonitor {
         for (i, stream) in self.spec.streams().iter().enumerate() {
             if let RStreamKind::Aggregate { agg, pred, .. } = &stream.kind {
                 let c = if pred_holds(pred, ev) {
-                    match ev.int {
+                    match ev.int() {
                         Some(v) => Contribution::Val(v),
                         None => Contribution::Hit,
                     }
@@ -368,32 +385,36 @@ impl StreamMonitor {
             let now = eval_cond(&tr.cond, &s.values, ev);
             if now && !s.prev[i] {
                 s.fired_total += 1;
-                let reason = format!(
-                    "stream trigger `{}` fired at event #{} ({}; {})",
-                    tr.name,
-                    s.events,
-                    Self::describe_event(ev),
-                    self.render_values(&s.values)
-                );
-                if s.firings.len() < self.firings_cap {
-                    s.firings.push(Firing {
-                        trigger: tr.name.clone(),
-                        at: s.events,
-                        step,
-                        time: t,
-                        reason: reason.clone(),
-                    });
-                }
-                if self.enforcing && abort_reason.is_none() {
-                    abort_reason = Some(reason);
+                // The reason is rendered only when a retained firing or
+                // an abort carries it: past the firings cap a firing is
+                // counted, not described.
+                let retained = s.firings.len() < self.firings_cap;
+                let aborts = self.enforcing && abort_reason.is_none();
+                if retained || aborts {
+                    let reason = format!(
+                        "stream trigger `{}` fired at event #{} ({}; {})",
+                        tr.name,
+                        s.events,
+                        Self::describe_event(ev),
+                        self.render_values(&s.values)
+                    );
+                    if retained {
+                        s.firings.push(Firing {
+                            trigger: tr.name.clone(),
+                            at: s.events,
+                            step,
+                            time: t,
+                            reason: reason.clone(),
+                        });
+                    }
+                    if aborts {
+                        abort_reason = Some(reason);
+                    }
                 }
             }
             s.prev[i] = now;
         }
-        match abort_reason {
-            Some(reason) => Outcome::abort(s, self.name.clone(), reason),
-            None => Outcome::Continue(s),
-        }
+        abort_reason
     }
 
     /// Ends the trace: evaluates `done`-phase triggers (rising edges
@@ -485,6 +506,9 @@ impl StreamMonitor {
     /// initial state — the replay primitive behind checkpoint-seeded
     /// checking: restore a snapshot taken after the first N events, feed
     /// the remaining tape, and the verdict matches a full replay.
+    ///
+    /// An adapter over [`StreamMonitor::check_views`]: the events are
+    /// folded as views, a chunk at a time.
     pub fn check_tape_seeded<'a>(
         &self,
         seed: StreamState,
@@ -492,22 +516,89 @@ impl StreamMonitor {
     ) -> StreamCheck {
         let mut state = seed;
         let mut completed = false;
-        for ev in events {
-            if ev.phase == TapePhase::Done {
-                completed = true;
-                state = self.finish(&state, ev.time);
-                break;
+        let mut res = StreamResolution::default();
+        fold_owned(events, |chunk| {
+            completed = self.check_views(&mut state, chunk.views(), chunk, &mut res);
+            !completed
+        });
+        self.check_result(state, completed)
+    }
+
+    /// Folds one run of event views (one string table) as an offline
+    /// check does: up to a `done` marker, which closes the trace with
+    /// [`StreamMonitor::finish`] at its timestamp. Returns whether the
+    /// trace was closed.
+    pub fn check_views(
+        &self,
+        state: &mut StreamState,
+        views: &[EventView],
+        strings: &dyn Strings,
+        res: &mut StreamResolution,
+    ) -> bool {
+        res.reset();
+        match self.fold_views(state, views, strings, res) {
+            FoldEnd::Done(i) => {
+                *state = self.finish(state, views[i].time);
+                true
             }
-            state = match self.advance_tape_event(state, ev) {
-                Outcome::Continue(s) | Outcome::Abort { state: s, .. } => s,
-            };
+            FoldEnd::End | FoldEnd::Abort(_) => false,
         }
+    }
+
+    /// The result of a check that ended in `state`.
+    pub fn check_result(&self, state: StreamState, completed: bool) -> StreamCheck {
         StreamCheck {
             firings: state.firings.clone(),
             fired_total: state.fired_total,
             missed: state.missed_total,
             completed,
             state,
+        }
+    }
+
+    /// Folds a run of event views (one string table) in place until its
+    /// end or a `done` marker — the batch fold behind every tape path.
+    /// Names resolve through `res` once per string id, so predicates
+    /// compare indices; an enforcing firing does not stop the fold (a
+    /// tape check reports every firing).
+    pub fn fold_views(
+        &self,
+        state: &mut StreamState,
+        views: &[EventView],
+        strings: &dyn Strings,
+        res: &mut StreamResolution,
+    ) -> FoldEnd {
+        for (i, ev) in views.iter().enumerate() {
+            if ev.phase == TapePhase::Done {
+                return FoldEnd::Done(i);
+            }
+            if !res.ours(self, ev.namespace, strings) {
+                continue;
+            }
+            let event = ResolvedEvent {
+                ev,
+                name: res.name(self, ev.name, strings),
+                names: self.spec.names(),
+                strings,
+            };
+            self.step_in_place(state, &event, Some(ev.step), ev.time);
+        }
+        FoldEnd::End
+    }
+
+    /// [`StreamMonitor::fold_views`] over every event, passing over
+    /// `done` markers without closing the trace, as hot-swap splicing
+    /// and checkpoint writing need.
+    pub fn fold_through(
+        &self,
+        state: &mut StreamState,
+        mut views: &[EventView],
+        strings: &dyn Strings,
+        res: &mut StreamResolution,
+    ) {
+        while let FoldEnd::Done(i) | FoldEnd::Abort(i) = self.fold_views(state, views, strings, res)
+        {
+            views = &views[i + 1..];
         }
     }
 
@@ -519,6 +610,95 @@ impl StreamMonitor {
             unsorted: ev.unsorted,
         };
         self.step_event(state, &view, ev.step, Some(ev.time))
+    }
+}
+
+/// A string table resolved against one [`StreamMonitor`]: per string id,
+/// whether it is the watched namespace and which of the names the spec
+/// mentions it spells. Filled lazily as a fold
+/// meets each id; the buffers are reused across
+/// [`StreamResolution::reset`].
+#[derive(Debug, Clone, Default)]
+pub struct StreamResolution {
+    ours: Vec<u8>,
+    name: Vec<u32>,
+}
+
+const UNRESOLVED: u32 = u32::MAX;
+const UNNAMED: u32 = u32::MAX - 1;
+
+impl StreamResolution {
+    /// Forgets the previous table's ids, keeping the buffers.
+    pub fn reset(&mut self) {
+        self.ours.clear();
+        self.name.clear();
+    }
+
+    fn ours(&mut self, m: &StreamMonitor, id: u32, strings: &dyn Strings) -> bool {
+        if id == NO_STRING {
+            return m.namespace.as_str().is_empty();
+        }
+        let i = id as usize;
+        if i >= self.ours.len() {
+            self.ours.resize(i + 1, 0);
+        }
+        if self.ours[i] == 0 {
+            self.ours[i] = if strings.get(id) == m.namespace.as_str() {
+                1
+            } else {
+                2
+            };
+        }
+        self.ours[i] == 1
+    }
+
+    fn name(&mut self, m: &StreamMonitor, id: u32, strings: &dyn Strings) -> u32 {
+        let lookup = || {
+            m.spec
+                .name_index(strings.get(id))
+                .map_or(UNNAMED, |k| k as u32)
+        };
+        if id == NO_STRING {
+            return lookup();
+        }
+        let i = id as usize;
+        if i >= self.name.len() {
+            self.name.resize(i + 1, UNRESOLVED);
+        }
+        if self.name[i] == UNRESOLVED {
+            self.name[i] = lookup();
+        }
+        self.name[i]
+    }
+}
+
+/// An event view with its name resolved against the spec.
+struct ResolvedEvent<'a> {
+    ev: &'a EventView,
+    name: u32,
+    names: &'a [Ident],
+    strings: &'a dyn Strings,
+}
+
+impl StreamEvent for ResolvedEvent<'_> {
+    fn phase(&self) -> TapePhase {
+        self.ev.phase
+    }
+
+    fn name_is(&self, id: &Ident) -> bool {
+        self.names.get(self.name as usize) == Some(id)
+    }
+
+    fn name(&self) -> &str {
+        self.strings.get(self.ev.name)
+    }
+
+    fn int(&self) -> Option<i64> {
+        self.ev.int
+    }
+
+    fn unsorted(&self) -> bool {
+        self.ev.unsorted
     }
 }
 

@@ -146,8 +146,24 @@ impl<'a> Reader<'a> {
         })
     }
 
+    /// An element count. Every element takes at least one byte, so a
+    /// count past the bytes left is a lie — rejected before anything is
+    /// allocated for it.
     fn len(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.uvarint()?).map_err(|_| SnapshotError::Malformed)
+        usize::try_from(self.uvarint()?)
+            .ok()
+            .filter(|&n| n <= self.buf.len() - self.at)
+            .ok_or(SnapshotError::Malformed)
+    }
+
+    /// A ring capacity: bounded by the widest event window a spec may
+    /// declare, not by the bytes left (a ring's free slots are not
+    /// serialized).
+    fn cap(&mut self) -> Result<usize, SnapshotError> {
+        usize::try_from(self.uvarint()?)
+            .ok()
+            .filter(|&n| n <= crate::parser::MAX_EVENT_WINDOW)
+            .ok_or(SnapshotError::Malformed)
     }
 
     fn string(&mut self) -> Result<String, SnapshotError> {
@@ -248,7 +264,7 @@ fn read_agg(r: &mut Reader<'_>) -> Result<AggState, SnapshotError> {
             max: r.opt_i64()?,
         },
         AGG_RING => {
-            let cap = r.len()?;
+            let cap = r.cap()?;
             let t = read_totals(r)?;
             let pos = r.uvarint()?;
             let n = r.len()?;
@@ -498,6 +514,28 @@ mod tests {
             restore_state(&other, &bytes),
             Err(SnapshotError::SpecMismatch(_))
         ));
+    }
+
+    #[test]
+    fn counts_past_the_bytes_left_are_rejected_before_allocating() {
+        // No streams or triggers: the firing count is the fifth byte.
+        let m = StreamMonitor::new("snap", "deadline post(p) every 50 ms").unwrap();
+        let bytes = snapshot_state(&m.initial_state());
+        let mut forged = bytes[..4].to_vec();
+        put_uvarint(&mut forged, 1 << 40);
+        forged.extend_from_slice(&bytes[5..]);
+        assert_eq!(restore_state(&m, &forged), Err(SnapshotError::Malformed));
+        // A 2^40 inserted anywhere in a richer snapshot — a count, a
+        // ring capacity, or a plain value — is decoded or rejected, and
+        // never allocated for.
+        let m = StreamMonitor::new("snap", SPEC).unwrap();
+        let bytes = snapshot_state(&m.check_tape(events(9).iter()).state);
+        for at in 1..bytes.len() {
+            let mut forged = bytes[..at].to_vec();
+            put_uvarint(&mut forged, 1 << 40);
+            forged.extend_from_slice(&bytes[at..]);
+            let _ = restore_state(&m, &forged);
+        }
     }
 
     #[test]

@@ -15,14 +15,11 @@
 //! different spec than the one checkpointed silently falls back to a
 //! full replay rather than seeding from a foreign automaton's state.
 
-use crate::format::{
-    digest64, read_tape_checkpointed, Checkpoint, StreamCheckpoint, TapeError, TapeWriter,
-};
-use monsem_monitor::tape::{TapeEvent, TapeSink};
-use monsem_monitor::{Monitor, Outcome};
-use monsem_stream::{restore_state, snapshot_state, StreamCheck, StreamMonitor};
-use monsem_tspec::{SpecMonitor, SpecState, TapeCheck};
-use std::collections::VecDeque;
+use crate::format::{digest64, Checkpoint, StreamCheckpoint, TapeError, TapeWriter, ViewDecoder};
+use monsem_monitor::tape::{OwnedViews, TapeEvent};
+use monsem_monitor::Monitor;
+use monsem_stream::{restore_state, snapshot_state, StreamCheck, StreamMonitor, StreamResolution};
+use monsem_tspec::{SpecMonitor, SpecResolution, SpecState, TapeCheck, TraceRing};
 
 /// The digest a checkpoint stores for a spec: [`digest64`] of its
 /// source text.
@@ -49,21 +46,24 @@ pub fn write_tape_checkpointed(
     let mut ss = spec.initial_state();
     let mut earliest: Option<u64> = None;
     let mut stream_state = stream.map(|m| m.initial_state());
-    for (i, ev) in events.iter().enumerate() {
-        w.record(ev.clone());
-        let had = ss.violation.is_some();
-        ss = match spec.advance_tape_event(ss, ev) {
-            Outcome::Continue(s) | Outcome::Abort { state: s, .. } => s,
-        };
-        if !had && ss.violation.is_some() && earliest.is_none() {
-            earliest = Some(ev.step);
+    let (mut spec_res, mut stream_res) = (SpecResolution::default(), StreamResolution::default());
+    let mut views = OwnedViews::new();
+    let mut folded = 0;
+    // Each interval is one run of views through the same fold the
+    // checkers use.
+    for interval in events.chunks(every) {
+        views.clear();
+        for ev in interval {
+            w.record_ref(ev);
+            views.push(ev);
         }
-        if let (Some(m), Some(st)) = (stream, stream_state.take()) {
-            stream_state = Some(match m.advance_tape_event(st, ev) {
-                Outcome::Continue(s) | Outcome::Abort { state: s, .. } => s,
-            });
+        spec_res.reset();
+        spec.fold_through(&mut ss, views.views(), &views, &mut spec_res, &mut earliest);
+        if let (Some(m), Some(st)) = (stream, &mut stream_state) {
+            stream_res.reset();
+            m.fold_through(st, views.views(), &views, &mut stream_res);
         }
-        let folded = i + 1;
+        folded += interval.len();
         if folded % every == 0 && folded < events.len() {
             let stream_ckpt = match (stream, &stream_state) {
                 (Some(m), Some(st)) => {
@@ -78,7 +78,7 @@ pub fn write_tape_checkpointed(
             };
             w.checkpoint(&Checkpoint {
                 events: folded as u64,
-                step: ev.step,
+                step: interval.last().map_or(0, |ev| ev.step),
                 spec_digest: spec_digest(spec.spec().source()),
                 dfa_state: ss.state,
                 dfa_events: ss.events,
@@ -114,7 +114,7 @@ pub fn seeded_spec_state(ckpt: &Checkpoint) -> SpecState {
     SpecState {
         state: ckpt.dfa_state,
         events: ckpt.dfa_events,
-        trace: VecDeque::new(),
+        trace: TraceRing::default(),
         violation: ckpt
             .earliest_violation
             .map(|step| format!("violated at event step {step} (before the checkpoint)")),
@@ -140,7 +140,12 @@ pub struct SeededCheck<C> {
 /// Checks a tape against `monitor`, seeking to the last checkpoint at
 /// or before `from` (an event offset) instead of replaying from zero.
 /// Falls back to a full replay when the tape has no checkpoints in
-/// range or they were recorded under a different spec.
+/// range, they were recorded under a different spec, or their contents
+/// cannot be true of this spec (a DFA state the automaton does not
+/// have): a digest over public text vouches for nothing.
+///
+/// The tape is decoded into views once; the skipped prefix is never
+/// materialized.
 ///
 /// # Errors
 ///
@@ -150,35 +155,36 @@ pub fn check_tape_from(
     tape: &[u8],
     from: u64,
 ) -> Result<SeededCheck<TapeCheck>, TapeError> {
-    let (events, checkpoints) = read_tape_checkpointed(tape)?;
-    let total = events.len() as u64;
-    match seek_checkpoint(&checkpoints, from.min(total), monitor.spec().source()) {
-        Some(ckpt) => {
-            let seed = seeded_spec_state(ckpt);
-            let mut check =
-                monitor.check_tape_seeded(seed, events.iter().skip(ckpt.events as usize));
-            // A violation inside the skipped prefix is earlier than
-            // anything the replay can observe.
-            check.earliest_violation = ckpt.earliest_violation.or(check.earliest_violation);
-            Ok(SeededCheck {
-                check,
-                resumed_at: ckpt.events,
-                replayed: total - ckpt.events,
-            })
-        }
-        None => Ok(SeededCheck {
-            check: monitor.check_tape(events.iter()),
-            resumed_at: 0,
-            replayed: total,
-        }),
+    let mut decoder = ViewDecoder::new();
+    let mut checkpoints = Vec::new();
+    let decoded = decoder.decode_checkpointed(tape, &mut checkpoints)?;
+    let views = decoded.events();
+    let total = views.len() as u64;
+    let states = monitor.automaton().num_states();
+    checkpoints.retain(|c| c.dfa_state < states);
+    let ckpt = seek_checkpoint(&checkpoints, from.min(total), monitor.spec().source());
+    let resumed_at = ckpt.map_or(0, |c| c.events);
+    let seed = ckpt.map_or_else(|| monitor.initial_state(), seeded_spec_state);
+    let mut fold = monitor.check_fold(seed);
+    monitor.check_views(&mut fold, &views[resumed_at as usize..], &decoded);
+    let mut check = monitor.check_result(fold);
+    if let Some(ckpt) = ckpt {
+        // A violation inside the skipped prefix is earlier than
+        // anything the replay can observe.
+        check.earliest_violation = ckpt.earliest_violation.or(check.earliest_violation);
     }
+    Ok(SeededCheck {
+        check,
+        resumed_at,
+        replayed: total - resumed_at,
+    })
 }
 
 /// The stream-spec counterpart of [`check_tape_from`]: seeks the last
 /// checkpoint at or before `from` that carries a stream snapshot whose
-/// spec and snapshot digests both verify, restores it, and replays the
-/// suffix. Any digest or decode mismatch falls back to a full replay —
-/// a checkpoint can make a check faster, never wrong.
+/// spec and snapshot digests both verify and that restores under this
+/// spec, and replays the suffix. Any mismatch falls back to a full
+/// replay — a checkpoint can make a check faster, never wrong.
 ///
 /// # Errors
 ///
@@ -188,8 +194,11 @@ pub fn check_stream_from(
     tape: &[u8],
     from: u64,
 ) -> Result<SeededCheck<StreamCheck>, TapeError> {
-    let (events, checkpoints) = read_tape_checkpointed(tape)?;
-    let total = events.len() as u64;
+    let mut decoder = ViewDecoder::new();
+    let mut checkpoints = Vec::new();
+    let decoded = decoder.decode_checkpointed(tape, &mut checkpoints)?;
+    let views = decoded.events();
+    let total = views.len() as u64;
     let want = spec_digest(monitor.spec().source());
     let seed = checkpoints
         .iter()
@@ -202,18 +211,18 @@ pub fn check_stream_from(
             }
             Some((c.events, restore_state(monitor, &s.snapshot).ok()?))
         });
-    match seed {
-        Some((resumed_at, state)) => Ok(SeededCheck {
-            check: monitor.check_tape_seeded(state, events.iter().skip(resumed_at as usize)),
-            resumed_at,
-            replayed: total - resumed_at,
-        }),
-        None => Ok(SeededCheck {
-            check: monitor.check_tape(events.iter()),
-            resumed_at: 0,
-            replayed: total,
-        }),
-    }
+    let (resumed_at, mut state) = seed.unwrap_or_else(|| (0, monitor.initial_state()));
+    let completed = monitor.check_views(
+        &mut state,
+        &views[resumed_at as usize..],
+        &decoded,
+        &mut StreamResolution::default(),
+    );
+    Ok(SeededCheck {
+        check: monitor.check_result(state, completed),
+        resumed_at,
+        replayed: total - resumed_at,
+    })
 }
 
 #[cfg(test)]
@@ -310,6 +319,70 @@ mod tests {
             with_stream.resumed_at, 0,
             "no stream snapshots on this tape"
         );
+    }
+
+    #[test]
+    fn a_checkpoint_naming_a_state_the_spec_lacks_is_not_trusted() {
+        // The digest matches (anyone can compute it) but the DFA state is
+        // out of range: seeding from it would index past the table.
+        let m = SpecMonitor::new("ck", SPEC).unwrap();
+        let events = tape_events(40, &[25], true);
+        let mut w = TapeWriter::checkpointed(Vec::new(), true);
+        for (i, ev) in events.iter().enumerate() {
+            w.record_ref(ev);
+            if i == 19 {
+                w.checkpoint(&Checkpoint {
+                    events: 20,
+                    step: ev.step,
+                    spec_digest: spec_digest(SPEC),
+                    dfa_state: 99,
+                    dfa_events: 20,
+                    earliest_violation: None,
+                    stream: None,
+                });
+            }
+        }
+        let tape = w.finish().unwrap();
+        let seeded = check_tape_from(&m, &tape, 30).unwrap();
+        assert_eq!(seeded.resumed_at, 0, "the lying checkpoint is skipped");
+        assert_eq!(seeded.check, m.check_tape(events.iter()));
+    }
+
+    #[test]
+    fn a_stream_snapshot_claiming_more_than_its_bytes_is_not_trusted() {
+        // A spec with no streams or triggers: the snapshot's firing
+        // count is its fifth byte. Claim 2^40 firings, digests intact.
+        let m = StreamMonitor::new("ck-stream", "deadline post(p) every 50 ms").unwrap();
+        let honest = snapshot_state(&m.initial_state());
+        assert_eq!(&honest[1..5], &[0, 0, 0, 0]);
+        let mut forged = honest[..4].to_vec();
+        crate::wire::put_uvarint(&mut forged, 1 << 40);
+        forged.extend_from_slice(&honest[5..]);
+        assert!(restore_state(&m, &forged).is_err());
+        let events = tape_events(30, &[], true);
+        let mut w = TapeWriter::checkpointed(Vec::new(), true);
+        for (i, ev) in events.iter().enumerate() {
+            w.record_ref(ev);
+            if i == 9 {
+                w.checkpoint(&Checkpoint {
+                    events: 10,
+                    step: ev.step,
+                    spec_digest: spec_digest(SPEC),
+                    dfa_state: 0,
+                    dfa_events: 10,
+                    earliest_violation: None,
+                    stream: Some(StreamCheckpoint {
+                        spec_digest: spec_digest(m.spec().source()),
+                        snapshot_digest: digest64(&forged),
+                        snapshot: forged.clone(),
+                    }),
+                });
+            }
+        }
+        let tape = w.finish().unwrap();
+        let seeded = check_stream_from(&m, &tape, 20).unwrap();
+        assert_eq!(seeded.resumed_at, 0, "the forged snapshot is skipped");
+        assert_eq!(seeded.check, m.check_tape(events.iter()));
     }
 
     #[test]

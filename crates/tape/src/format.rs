@@ -55,7 +55,9 @@
 //! [`TapeSink`] requires.
 
 use crate::wire::{put_ivarint, put_str, put_uvarint, ByteReader, WireError};
-use monsem_monitor::tape::{TapeEvent, TapePhase, TapeSink, ValueDesc};
+use monsem_monitor::tape::{
+    EventView, Strings, TapeEvent, TapePhase, TapeSink, ValueDesc, NO_STRING,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
@@ -298,8 +300,10 @@ impl<W: Write> TapeWriter<W> {
     }
 }
 
-impl<W: Write> TapeSink for TapeWriter<W> {
-    fn record(&mut self, event: TapeEvent) {
+impl<W: Write> TapeWriter<W> {
+    /// Appends one event by reference: the bytes are exactly those
+    /// [`TapeSink::record`] writes, without moving or copying the event.
+    pub fn record_ref(&mut self, event: &TapeEvent) {
         if self.error.is_some() {
             return;
         }
@@ -323,21 +327,24 @@ impl<W: Write> TapeSink for TapeWriter<W> {
             TapePhase::Post => {
                 let ns = self.intern(&event.namespace);
                 let name = self.intern(&event.name);
-                let desc = event.value.unwrap_or_default();
-                let display = self.intern(&desc.display);
+                let (int, unsorted, display) = match &event.value {
+                    Some(d) => (d.int, d.unsorted, d.display.as_str()),
+                    None => (None, false, ""),
+                };
+                let display = self.intern(display);
                 self.buf.push(TAG_POST);
                 put_uvarint(&mut self.buf, ns);
                 put_uvarint(&mut self.buf, name);
                 put_uvarint(&mut self.buf, event.step);
                 let mut flags = 0u8;
-                if desc.int.is_some() {
+                if int.is_some() {
                     flags |= FLAG_INT;
                 }
-                if desc.unsorted {
+                if unsorted {
                     flags |= FLAG_UNSORTED;
                 }
                 self.buf.push(flags);
-                if let Some(n) = desc.int {
+                if let Some(n) = int {
                     put_ivarint(&mut self.buf, n);
                 }
                 put_uvarint(&mut self.buf, display);
@@ -351,6 +358,12 @@ impl<W: Write> TapeSink for TapeWriter<W> {
     }
 }
 
+impl<W: Write> TapeSink for TapeWriter<W> {
+    fn record(&mut self, event: TapeEvent) {
+        self.record_ref(&event);
+    }
+}
+
 /// Serializes `events` into a fresh in-memory tape. Picks the version
 /// automatically: v2 iff any event carries a timestamp (i.e. the
 /// recording had a clock attached), v1 otherwise.
@@ -359,7 +372,7 @@ pub fn write_tape<'a>(events: impl IntoIterator<Item = &'a TapeEvent>) -> Vec<u8
     let timed = events.iter().any(|ev| ev.time.is_some());
     let mut w = TapeWriter::with_version(Vec::new(), timed, false);
     for ev in events {
-        w.record(ev.clone());
+        w.record_ref(ev);
     }
     w.finish().expect("writing to a Vec cannot fail")
 }
@@ -371,7 +384,7 @@ pub fn write_tape<'a>(events: impl IntoIterator<Item = &'a TapeEvent>) -> Vec<u8
 /// [`TapeError`] on any malformation: bad magic or version, unknown
 /// tags, dangling string ids, or truncated records.
 pub fn read_tape(buf: &[u8]) -> Result<Vec<TapeEvent>, TapeError> {
-    read_tape_with(buf, |_| {})
+    read_tape_with(buf, None)
 }
 
 /// Parses a binary tape, also surfacing its [`Checkpoint`] records (v3;
@@ -384,14 +397,138 @@ pub fn read_tape(buf: &[u8]) -> Result<Vec<TapeEvent>, TapeError> {
 /// As for [`read_tape`].
 pub fn read_tape_checkpointed(buf: &[u8]) -> Result<(Vec<TapeEvent>, Vec<Checkpoint>), TapeError> {
     let mut ckpts = Vec::new();
-    let events = read_tape_with(buf, |c| ckpts.push(c))?;
+    let events = read_tape_with(buf, Some(&mut ckpts))?;
     Ok((events, ckpts))
 }
 
+/// [`read_tape`] as an owning adapter over the view decoder: each view
+/// is materialized into a [`TapeEvent`] with its own strings.
 fn read_tape_with(
     buf: &[u8],
-    mut on_checkpoint: impl FnMut(Checkpoint),
+    checkpoints: Option<&mut Vec<Checkpoint>>,
 ) -> Result<Vec<TapeEvent>, TapeError> {
+    let mut spans = Vec::new();
+    let mut events = Vec::new();
+    decode_records(
+        buf,
+        &mut spans,
+        |ev, spans| {
+            let text = |id: u32| span_str(buf, spans, id).to_string();
+            events.push(TapeEvent {
+                phase: ev.phase,
+                namespace: text(ev.namespace),
+                name: text(ev.name),
+                value: (ev.phase == TapePhase::Post).then(|| ValueDesc {
+                    int: ev.int,
+                    unsorted: ev.unsorted,
+                    display: text(ev.display),
+                }),
+                step: ev.step,
+                time: ev.time,
+            });
+        },
+        checkpoints,
+    )?;
+    Ok(events)
+}
+
+/// The text of string `id` of a decoded tape (`""` for [`NO_STRING`]).
+/// Every span was validated as UTF-8 when its `STR` record was decoded.
+fn span_str<'a>(buf: &'a [u8], spans: &[(usize, usize)], id: u32) -> &'a str {
+    spans
+        .get(id as usize)
+        .and_then(|&(start, end)| std::str::from_utf8(&buf[start..end]).ok())
+        .unwrap_or("")
+}
+
+/// A reusable decoder from tape images to borrowed event views: the
+/// server's decode. Decoding records each `STR` record's span and each
+/// event as an [`EventView`]; no string is copied and, once the buffers
+/// have grown to a batch's size, nothing is allocated.
+#[derive(Debug, Default)]
+pub struct ViewDecoder {
+    spans: Vec<(usize, usize)>,
+    events: Vec<EventView>,
+}
+
+/// A tape image decoded by a [`ViewDecoder`]: its string table and its
+/// events as views, borrowed from the image and the decoder.
+#[derive(Debug, Clone, Copy)]
+pub struct DecodedTape<'a> {
+    image: &'a [u8],
+    spans: &'a [(usize, usize)],
+    events: &'a [EventView],
+}
+
+impl ViewDecoder {
+    /// A decoder with empty buffers.
+    pub fn new() -> ViewDecoder {
+        ViewDecoder::default()
+    }
+
+    /// Decodes `image` into views. `CKPT` records are validated and
+    /// skipped.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the [`TapeError`]s [`read_tape`] reports.
+    pub fn decode<'a>(&'a mut self, image: &'a [u8]) -> Result<DecodedTape<'a>, TapeError> {
+        self.decode_with(image, None)
+    }
+
+    /// [`ViewDecoder::decode`], also collecting the `CKPT` records.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ViewDecoder::decode`].
+    pub fn decode_checkpointed<'a>(
+        &'a mut self,
+        image: &'a [u8],
+        checkpoints: &mut Vec<Checkpoint>,
+    ) -> Result<DecodedTape<'a>, TapeError> {
+        self.decode_with(image, Some(checkpoints))
+    }
+
+    fn decode_with<'a>(
+        &'a mut self,
+        image: &'a [u8],
+        checkpoints: Option<&mut Vec<Checkpoint>>,
+    ) -> Result<DecodedTape<'a>, TapeError> {
+        self.spans.clear();
+        self.events.clear();
+        let events = &mut self.events;
+        decode_records(image, &mut self.spans, |ev, _| events.push(ev), checkpoints)?;
+        Ok(DecodedTape {
+            image,
+            spans: &self.spans,
+            events: &self.events,
+        })
+    }
+}
+
+impl<'a> DecodedTape<'a> {
+    /// The events, in tape order.
+    pub fn events(&self) -> &'a [EventView] {
+        self.events
+    }
+}
+
+impl Strings for DecodedTape<'_> {
+    fn get(&self, id: u32) -> &str {
+        span_str(self.image, self.spans, id)
+    }
+}
+
+/// The one tape decoder. Walks the records of `buf`, validating each,
+/// and hands every event to `on_event` as a view into the string spans
+/// recorded so far. `CKPT` records are pushed to `checkpoints` when
+/// given, and skipped otherwise.
+fn decode_records(
+    buf: &[u8],
+    spans: &mut Vec<(usize, usize)>,
+    mut on_event: impl FnMut(EventView, &[(usize, usize)]),
+    mut checkpoints: Option<&mut Vec<Checkpoint>>,
+) -> Result<(), TapeError> {
     let mut r = ByteReader::new(buf);
     if r.bytes(4)? != MAGIC {
         return Err(TapeError::BadMagic);
@@ -402,75 +539,47 @@ fn read_tape_with(
     }
     let mut last_time = 0u64;
     let mut pending_time: Option<u64> = None;
-    let mut strings: Vec<String> = Vec::new();
-    let lookup = |strings: &[String], id: u64| -> Result<String, TapeError> {
-        usize::try_from(id)
+    let string = |spans: &[(usize, usize)], id: u64| -> Result<u32, TapeError> {
+        u32::try_from(id)
             .ok()
-            .and_then(|i| strings.get(i))
-            .cloned()
+            .filter(|&i| (i as usize) < spans.len())
             .ok_or(TapeError::BadStringId(id))
     };
-    let mut events = Vec::new();
     while !r.is_empty() {
         let at = r.position();
-        match r.u8()? {
-            TAG_STR => strings.push(r.string()?),
+        let view = match r.u8()? {
+            TAG_STR => {
+                let len = usize::try_from(r.uvarint()?).map_err(|_| WireError::UnexpectedEof)?;
+                let start = r.position();
+                std::str::from_utf8(r.bytes(len)?).map_err(|_| WireError::BadUtf8)?;
+                spans.push((start, start + len));
+                continue;
+            }
             TAG_TIME if version >= VERSION_TIMED => {
                 last_time = last_time.saturating_add(r.uvarint()?);
                 pending_time = Some(last_time);
+                continue;
             }
             TAG_CKPT if version >= VERSION_CHECKPOINT => {
-                let ckpt_events = r.uvarint()?;
-                let step = r.uvarint()?;
-                let flags = r.u8()?;
-                let spec_digest = r.uvarint()?;
-                let dfa_state = u32::try_from(r.uvarint()?)
-                    .map_err(|_| TapeError::Wire(WireError::VarintOverflow))?;
-                let dfa_events = r.uvarint()?;
-                let earliest_violation = if flags & CKPT_VIOLATION != 0 {
-                    Some(r.uvarint()?)
-                } else {
-                    None
-                };
-                let stream = if flags & CKPT_STREAM != 0 {
-                    let sd = r.uvarint()?;
-                    let snap_digest = r.uvarint()?;
-                    let len = usize::try_from(r.uvarint()?)
-                        .map_err(|_| TapeError::Wire(WireError::VarintOverflow))?;
-                    Some(StreamCheckpoint {
-                        spec_digest: sd,
-                        snapshot_digest: snap_digest,
-                        snapshot: r.bytes(len)?.to_vec(),
-                    })
-                } else {
-                    None
-                };
-                on_checkpoint(Checkpoint {
-                    events: ckpt_events,
-                    step,
-                    spec_digest,
-                    dfa_state,
-                    dfa_events,
-                    earliest_violation,
-                    stream,
-                });
+                let ckpt = read_checkpoint(&mut r, checkpoints.is_some())?;
+                if let Some(out) = checkpoints.as_deref_mut() {
+                    out.push(ckpt);
+                }
+                continue;
             }
-            TAG_PRE => {
-                let namespace = lookup(&strings, r.uvarint()?)?;
-                let name = lookup(&strings, r.uvarint()?)?;
-                let step = r.uvarint()?;
-                events.push(TapeEvent {
-                    phase: TapePhase::Pre,
-                    namespace,
-                    name,
-                    value: None,
-                    step,
-                    time: pending_time.take(),
-                });
-            }
+            TAG_PRE => EventView {
+                phase: TapePhase::Pre,
+                namespace: string(spans, r.uvarint()?)?,
+                name: string(spans, r.uvarint()?)?,
+                display: NO_STRING,
+                int: None,
+                unsorted: false,
+                step: r.uvarint()?,
+                time: None,
+            },
             TAG_POST => {
-                let namespace = lookup(&strings, r.uvarint()?)?;
-                let name = lookup(&strings, r.uvarint()?)?;
+                let namespace = string(spans, r.uvarint()?)?;
+                let name = string(spans, r.uvarint()?)?;
                 let step = r.uvarint()?;
                 let flags = r.u8()?;
                 let int = if flags & FLAG_INT != 0 {
@@ -478,35 +587,78 @@ fn read_tape_with(
                 } else {
                     None
                 };
-                let display = lookup(&strings, r.uvarint()?)?;
-                events.push(TapeEvent {
+                EventView {
                     phase: TapePhase::Post,
                     namespace,
                     name,
-                    value: Some(ValueDesc {
-                        int,
-                        unsorted: flags & FLAG_UNSORTED != 0,
-                        display,
-                    }),
+                    display: string(spans, r.uvarint()?)?,
+                    int,
+                    unsorted: flags & FLAG_UNSORTED != 0,
                     step,
-                    time: pending_time.take(),
-                });
+                    time: None,
+                }
             }
-            TAG_DONE => {
-                let step = r.uvarint()?;
-                events.push(TapeEvent {
-                    phase: TapePhase::Done,
-                    namespace: String::new(),
-                    name: String::new(),
-                    value: None,
-                    step,
-                    time: pending_time.take(),
-                });
-            }
+            TAG_DONE => EventView {
+                phase: TapePhase::Done,
+                namespace: NO_STRING,
+                name: NO_STRING,
+                display: NO_STRING,
+                int: None,
+                unsorted: false,
+                step: r.uvarint()?,
+                time: None,
+            },
             tag => return Err(TapeError::BadTag(tag, at)),
-        }
+        };
+        on_event(
+            EventView {
+                time: pending_time.take(),
+                ..view
+            },
+            spans,
+        );
     }
-    Ok(events)
+    Ok(())
+}
+
+/// Reads the body of a `CKPT` record; the snapshot bytes are copied only
+/// when the record is `kept`.
+fn read_checkpoint(r: &mut ByteReader<'_>, kept: bool) -> Result<Checkpoint, TapeError> {
+    let events = r.uvarint()?;
+    let step = r.uvarint()?;
+    let flags = r.u8()?;
+    let spec_digest = r.uvarint()?;
+    let dfa_state =
+        u32::try_from(r.uvarint()?).map_err(|_| TapeError::Wire(WireError::VarintOverflow))?;
+    let dfa_events = r.uvarint()?;
+    let earliest_violation = if flags & CKPT_VIOLATION != 0 {
+        Some(r.uvarint()?)
+    } else {
+        None
+    };
+    let stream = if flags & CKPT_STREAM != 0 {
+        let sd = r.uvarint()?;
+        let snap_digest = r.uvarint()?;
+        let len = usize::try_from(r.uvarint()?)
+            .map_err(|_| TapeError::Wire(WireError::VarintOverflow))?;
+        let bytes = r.bytes(len)?;
+        Some(StreamCheckpoint {
+            spec_digest: sd,
+            snapshot_digest: snap_digest,
+            snapshot: if kept { bytes.to_vec() } else { Vec::new() },
+        })
+    } else {
+        None
+    };
+    Ok(Checkpoint {
+        events,
+        step,
+        spec_digest,
+        dfa_state,
+        dfa_events,
+        earliest_violation,
+        stream,
+    })
 }
 
 #[cfg(test)]

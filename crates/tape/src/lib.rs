@@ -53,8 +53,9 @@ pub use checkpoint::{
     SeededCheck,
 };
 pub use format::{
-    digest64, read_tape, read_tape_checkpointed, write_tape, Checkpoint, StreamCheckpoint,
-    TapeError, TapeWriter, MAGIC, VERSION, VERSION_CHECKPOINT, VERSION_TIMED,
+    digest64, read_tape, read_tape_checkpointed, write_tape, Checkpoint, DecodedTape,
+    StreamCheckpoint, TapeError, TapeWriter, ViewDecoder, MAGIC, VERSION, VERSION_CHECKPOINT,
+    VERSION_TIMED,
 };
 pub use net::{
     serve_tcp, serve_tcp_with, serve_unix, serve_unix_with, BatchWriter, Client, IoBackend,

@@ -22,7 +22,7 @@
 use crate::wire::{put_ivarint, put_str, put_uvarint, ByteReader, WireError};
 use monsem_monitor::tape::{TapeEvent, TapePhase, ValueDesc};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Hard cap on a frame payload, to bound a malicious or corrupt peer.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -487,6 +487,11 @@ impl Response {
 
 /// Writes one length-prefixed frame.
 ///
+/// Prefix and payload go out in one vectored write, so an unbuffered
+/// socket sees one system call per frame, not two: the peer never wakes
+/// for a lone four-byte prefix, and a TCP stream without `TCP_NODELAY`
+/// never holds the payload back behind Nagle's algorithm.
+///
 /// # Errors
 ///
 /// Propagates I/O errors from the underlying stream.
@@ -496,8 +501,17 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if len > MAX_FRAME {
         return Err(proto_io(ProtoError::FrameTooLarge(len)));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let prefix = len.to_be_bytes();
+    let mut bufs = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut left = &mut bufs[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -719,6 +733,49 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), None);
+    }
+
+    /// A writer that accepts everything and counts the calls that reach
+    /// it: each call is one system call on an unbuffered socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            for b in bufs {
+                self.bytes.extend_from_slice(b);
+            }
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        // Prefix and payload in separate writes put a lone four-byte
+        // segment on the wire; over TCP, Nagle's algorithm then holds the
+        // payload until the peer's delayed ACK, stalling every request.
+        for payload in [&b"hello"[..], b"", &[7u8; 4000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.calls, 1, "payload of {} bytes", payload.len());
+            let mut plain = Vec::new();
+            write_frame(&mut plain, payload).unwrap();
+            assert_eq!(w.bytes, plain);
+        }
     }
 
     #[test]

@@ -288,11 +288,35 @@ struct Injected {
     stop: bool,
 }
 
+impl Injected {
+    fn is_empty(&self) -> bool {
+        self.conns.is_empty() && self.responses.is_empty() && self.acks.is_empty() && !self.stop
+    }
+}
+
 /// State shared between one reactor thread and everyone injecting work
 /// into it.
 struct Shared {
     injected: Mutex<Injected>,
     wake: EventFd,
+}
+
+impl Shared {
+    /// Applies `add` to the injection queue and kicks the reactor, but
+    /// only when the queue was empty: a non-empty queue already has a
+    /// kick pending, because the reactor takes the whole queue at the
+    /// top of every loop turn after draining its eventfd. Under a steady
+    /// stream of acks this saves an `eventfd` write per ack and the
+    /// reactor wakeup that goes with it.
+    fn inject(&self, add: impl FnOnce(&mut Injected)) {
+        let mut inj = self.injected.lock().expect("reactor injection lock");
+        let was_empty = inj.is_empty();
+        add(&mut inj);
+        drop(inj);
+        if was_empty {
+            self.wake.signal();
+        }
+    }
 }
 
 /// The per-job sink shard workers deliver through: pushes into the
@@ -307,25 +331,24 @@ struct ReactorSink {
 
 impl ResponseSink for ReactorSink {
     fn ack(&self, session: u64, through_step: u64) -> bool {
-        let mut inj = self.shared.injected.lock().expect("reactor injection lock");
-        match inj
-            .acks
-            .iter_mut()
-            .find(|(t, s, _)| *t == self.token && *s == session)
-        {
-            Some(slot) => slot.2 = slot.2.max(through_step),
-            None => inj.acks.push((self.token, session, through_step)),
-        }
-        drop(inj);
-        self.shared.wake.signal();
+        let token = self.token;
+        self.shared.inject(|inj| {
+            match inj
+                .acks
+                .iter_mut()
+                .find(|(t, s, _)| *t == token && *s == session)
+            {
+                Some(slot) => slot.2 = slot.2.max(through_step),
+                None => inj.acks.push((token, session, through_step)),
+            }
+        });
         true
     }
 
     fn send(&self, resp: Response) -> bool {
-        let mut inj = self.shared.injected.lock().expect("reactor injection lock");
-        inj.responses.push((self.token, resp, self.control));
-        drop(inj);
-        self.shared.wake.signal();
+        let (token, control) = (self.token, self.control);
+        self.shared
+            .inject(|inj| inj.responses.push((token, resp, control)));
         true
     }
 }
@@ -345,6 +368,10 @@ struct Conn {
     /// `wstart` is the sent prefix.
     wbuf: Vec<u8>,
     wstart: usize,
+    /// The socket refused the last write (`EAGAIN`): further writes wait
+    /// for `EPOLLOUT` instead of failing once per loop turn against a
+    /// peer that is not reading.
+    wblocked: bool,
     /// Interest mask currently registered with epoll.
     interest: u32,
     parked: Option<Parked>,
@@ -362,6 +389,7 @@ impl Conn {
             decoder: FrameDecoder::new(),
             wbuf: Vec::new(),
             wstart: 0,
+            wblocked: false,
             interest: 0,
             parked: None,
             control_inflight: 0,
@@ -395,7 +423,10 @@ impl Conn {
                     return;
                 }
                 Ok(n) => self.wstart += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.wblocked = true;
+                    break;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.dead = true;
@@ -631,7 +662,7 @@ fn reactor_loop(epoll: Epoll, shared: Arc<Shared>, server: Arc<MonitorServer>) {
         // 3. Flush, resync interest, and reap finished connections.
         let mut reap: Vec<u64> = Vec::new();
         for (token, conn) in conns.iter_mut() {
-            if conn.unsent() > 0 {
+            if conn.unsent() > 0 && !conn.wblocked {
                 conn.flush();
             }
             if conn.dead || conn.retired() {
@@ -673,6 +704,7 @@ fn reactor_loop(epoll: Epoll, shared: Arc<Shared>, server: Arc<MonitorServer>) {
                 read_ready(conn, &server, &shared, token, &mut scratch);
             }
             if bits & sys::EPOLLOUT != 0 {
+                conn.wblocked = false;
                 conn.flush();
             }
         }
@@ -733,22 +765,14 @@ impl ReactorPool {
         }
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.shareds.len();
         let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
-        let shared = &self.shareds[i];
-        shared
-            .injected
-            .lock()
-            .expect("reactor injection lock")
-            .conns
-            .push((token, sock));
-        shared.wake.signal();
+        self.shareds[i].inject(|inj| inj.conns.push((token, sock)));
     }
 
     /// Stops and joins every reactor thread, dropping (closing) their
     /// sockets and epoll fds. Idempotent.
     pub(crate) fn stop(&self) {
         for shared in &self.shareds {
-            shared.injected.lock().expect("reactor injection lock").stop = true;
-            shared.wake.signal();
+            shared.inject(|inj| inj.stop = true);
         }
         let joins: Vec<_> = self
             .joins

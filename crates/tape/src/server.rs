@@ -45,12 +45,12 @@
 //!   stream check is always observing, survives safety-spec swaps, and
 //!   can itself be hot-swapped (splicing by the same window replay).
 
-use crate::format::read_tape;
+use crate::format::ViewDecoder;
 use crate::proto::{Request, Response, Verdict};
-use monsem_monitor::tape::{TapeEvent, TapePhase};
-use monsem_monitor::{Budget, FaultPolicy, GuardState, Guarded, Health, Monitor, Outcome};
-use monsem_stream::{StreamMonitor, StreamState};
-use monsem_tspec::{SpecMonitor, SpecState, DEFAULT_REPLAY_CAP};
+use monsem_monitor::tape::{fold_owned, EventView, OwnedViews, Strings, TapeEvent, TapePhase};
+use monsem_monitor::{BatchEnd, Budget, FaultPolicy, GuardState, Guarded, Health, Monitor};
+use monsem_stream::{StreamMonitor, StreamResolution, StreamState};
+use monsem_tspec::{SpecMonitor, SpecResolution, SpecState, DEFAULT_REPLAY_CAP};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -100,7 +100,7 @@ impl Default for ServerConfig {
 }
 
 /// Where a shard delivers fire-and-forget outcomes: cumulative acks and
-/// errors for posted event frames, and (on the [`Reply::Routed`] path)
+/// errors for posted event frames, and (on the `Reply::Routed` path)
 /// control replies that must travel back to a connection the worker
 /// cannot block on.
 ///
@@ -194,16 +194,16 @@ pub struct MonitorServer {
 
 struct Session {
     guard: Guarded<SpecMonitor>,
-    gs: Option<GuardState<SpecState>>,
+    gs: GuardState<SpecState>,
+    /// The safety spec's resolution of the batch being folded.
+    resolution: SpecResolution,
     /// The optional stream-SLO check riding next to the safety spec.
     /// Always *observing* — an SLO verdict reports, it never vetoes
     /// ingest — and outside the guard: its evaluation is statically
     /// memory-bounded and cannot panic on event data.
-    stream: Option<(StreamMonitor, StreamState)>,
+    stream: Option<(StreamMonitor, StreamState, StreamResolution)>,
     enforcing: bool,
-    window: VecDeque<TapeEvent>,
-    window_dropped: u64,
-    window_cap: usize,
+    window: Window,
     /// Checkpoint interval in ingested events (0 = off): at each
     /// boundary the replay window is compacted away.
     checkpoint_every: usize,
@@ -217,11 +217,94 @@ struct Session {
     swap_truncated: bool,
 }
 
-fn stream_monitor(src: &str, session: u64) -> Result<(StreamMonitor, StreamState), String> {
+/// A batch as it arrived: the tape image of an `EventBatch`, or the
+/// events of a per-event request. The replay window keeps batches whole
+/// and views them again on a swap, so ingest copies no event into it.
+enum Batch {
+    Image(Vec<u8>),
+    Events(Vec<TapeEvent>),
+}
+
+/// The last `cap` folded events of a session, as the batches they came
+/// in: events `first..end` of each batch are in the window.
+struct Window {
+    batches: VecDeque<(Batch, usize, usize)>,
+    len: usize,
+    cap: usize,
+    /// Events that have left the window, to the cap or to compaction.
+    dropped: u64,
+}
+
+impl Window {
+    fn new(cap: usize) -> Window {
+        Window {
+            batches: VecDeque::new(),
+            len: 0,
+            cap: cap.max(1),
+            dropped: 0,
+        }
+    }
+
+    /// Appends events `first..end` of `batch`, then trims the oldest
+    /// events past the cap.
+    fn push(&mut self, batch: Batch, first: usize, end: usize) {
+        if first >= end {
+            return;
+        }
+        self.batches.push_back((batch, first, end));
+        self.len += end - first;
+        while self.len > self.cap {
+            let over = self.len - self.cap;
+            let front = self
+                .batches
+                .front_mut()
+                .expect("a window over its cap holds a batch");
+            let held = front.2 - front.1;
+            let gone = held.min(over);
+            if gone == held {
+                self.batches.pop_front();
+            } else {
+                front.1 += gone;
+            }
+            self.len -= gone;
+            self.dropped += gone as u64;
+        }
+    }
+
+    /// Drops every event: a checkpoint boundary.
+    fn compact(&mut self) {
+        self.dropped += self.len as u64;
+        self.batches.clear();
+        self.len = 0;
+    }
+
+    /// Views the window's events, batch by batch, oldest first.
+    fn replay(&self, decoder: &mut ViewDecoder, mut fold: impl FnMut(&[EventView], &dyn Strings)) {
+        for (batch, first, end) in &self.batches {
+            match batch {
+                Batch::Image(image) => {
+                    let decoded = decoder
+                        .decode(image)
+                        .expect("a kept image decoded when it arrived");
+                    fold(&decoded.events()[*first..*end], &decoded);
+                }
+                Batch::Events(events) => {
+                    let views = OwnedViews::of(events);
+                    fold(&views.views()[*first..*end], &views);
+                }
+            }
+        }
+    }
+}
+
+fn stream_monitor(
+    src: &str,
+    session: u64,
+) -> Result<(StreamMonitor, StreamState, StreamResolution), String> {
     let m = StreamMonitor::new(format!("session-{session}-stream"), src)
         .map_err(|e| format!("stream spec: {e}"))?;
     let s = m.initial_state();
-    Ok((m, s))
+    Ok((m, s, StreamResolution::default()))
 }
 
 impl Session {
@@ -244,12 +327,11 @@ impl Session {
         let gs = guard.initial_state();
         Ok(Session {
             guard,
-            gs: Some(gs),
+            gs,
+            resolution: SpecResolution::default(),
             stream,
             enforcing,
-            window: VecDeque::new(),
-            window_dropped: 0,
-            window_cap: config.swap_window.max(1),
+            window: Window::new(config.swap_window),
             checkpoint_every: config.checkpoint_every,
             ingested: 0,
             last_step: 0,
@@ -260,12 +342,8 @@ impl Session {
         })
     }
 
-    fn gs(&self) -> &GuardState<SpecState> {
-        self.gs.as_ref().expect("session guard state present")
-    }
-
     fn verdict(&self, session: u64) -> Verdict {
-        let gs = self.gs();
+        let gs = &self.gs;
         Verdict {
             session,
             ingested: self.ingested,
@@ -279,75 +357,87 @@ impl Session {
             earliest_violation: self.earliest_violation,
             accepted: self.accepted,
             swap_truncated: self.swap_truncated,
-            firings: self.stream.as_ref().map_or(0, |(_, s)| s.fired_total),
-            missed: self.stream.as_ref().map_or(0, |(_, s)| s.missed_total),
+            firings: self.stream.as_ref().map_or(0, |(_, s, _)| s.fired_total),
+            missed: self.stream.as_ref().map_or(0, |(_, s, _)| s.missed_total),
         }
     }
 
-    /// Feeds one event through the guarded monitor. Takes the event by
-    /// value: after folding (by reference) it is *moved* into the
-    /// replay window, so the hot path allocates nothing per event
-    /// beyond what the monitors themselves do.
-    fn ingest(&mut self, ev: TapeEvent) {
-        self.ingested += 1;
-        self.last_step = self.last_step.max(ev.step);
-        if self.checkpoint_every > 0
-            && self.ingested.is_multiple_of(self.checkpoint_every as u64)
-            && !self.window.is_empty()
-        {
-            // Checkpoint boundary: compact the replay window away. A
-            // swap after this point splices from a shorter (possibly
-            // empty) suffix and reports `swap_truncated`.
-            self.window_dropped += self.window.len() as u64;
-            self.window.clear();
+    /// Folds a batch of event views: the safety spec under one batch
+    /// guard, then the stream spec, each in place. Events after the
+    /// batch's `done` marker (or an enforcing abort), and every event
+    /// once the trace has ended, are counted but not judged. Returns how
+    /// many leading events were folded — the ones the window keeps.
+    fn fold(&mut self, views: &[EventView], strings: &dyn Strings) -> usize {
+        self.ingested += views.len() as u64;
+        if let Some(step) = views.iter().map(|ev| ev.step).max() {
+            self.last_step = self.last_step.max(step);
         }
         if self.accepted.is_some() {
-            // The trace already ended; late events are counted but not
-            // judged.
-            return;
+            // The trace already ended.
+            return 0;
         }
-        if ev.phase == TapePhase::Done {
-            self.finish(ev.time);
-            return;
+        let done = views.iter().position(|ev| ev.phase == TapePhase::Done);
+        let mut live = done.unwrap_or(views.len());
+        let Session {
+            guard,
+            gs,
+            resolution,
+            earliest_violation,
+            ..
+        } = self;
+        resolution.reset();
+        let judged = &views[..live];
+        let end = guard.guard_batch(
+            gs,
+            live,
+            SpecState::core,
+            SpecState::restore_core,
+            |m, s, i| m.fold_view(s, &judged[i], strings, resolution, earliest_violation),
+        );
+        guard.inner().end_views(&mut gs.state, strings);
+        let aborted = matches!(end, BatchEnd::Abort { .. });
+        if let BatchEnd::Abort { index, .. } = end {
+            // Enforcing abort: the trace is over for this session.
+            self.accepted = Some(false);
+            live = index + 1;
         }
-        if let Some((m, s)) = self.stream.take() {
-            let s = match m.advance_tape_event(s, &ev) {
-                Outcome::Continue(s) | Outcome::Abort { state: s, .. } => s,
-            };
-            self.stream = Some((m, s));
+        if let Some((m, s, res)) = &mut self.stream {
+            res.reset();
+            m.fold_views(s, &views[..live], strings, res);
         }
-        let gs = self.gs.take().expect("session guard state present");
-        let had_violation = gs.state.violation.is_some();
-        let gs = match self
-            .guard
-            .guard_with(gs, |m, s| m.advance_tape_event(s, &ev))
-        {
-            Outcome::Continue(gs) => gs,
-            Outcome::Abort { state: gs, .. } => {
-                // Enforcing abort: the trace is over for this session.
-                self.accepted = Some(false);
-                gs
+        if let (Some(i), false) = (done, aborted) {
+            self.finish(views[i].time);
+        }
+        live
+    }
+
+    /// Keeps the first `live` of a just-folded batch's `n` events in the
+    /// replay window, compacting it at the last checkpoint boundary the
+    /// batch crossed. `before` is `ingested` before the batch.
+    fn keep(&mut self, batch: Batch, before: u64, n: usize, live: usize) {
+        let mut first = 0;
+        if self.checkpoint_every > 0 {
+            let every = self.checkpoint_every as u64;
+            let boundary = (before + n as u64) / every * every;
+            if boundary > before {
+                // The boundary event is the first one kept after it.
+                let at = (boundary - before - 1) as usize;
+                self.window.compact();
+                self.window.dropped += at.min(live) as u64;
+                first = at;
             }
-        };
-        if !had_violation && gs.state.violation.is_some() && self.earliest_violation.is_none() {
-            self.earliest_violation = Some(ev.step);
         }
-        self.gs = Some(gs);
-        if self.window.len() == self.window_cap {
-            self.window.pop_front();
-            self.window_dropped += 1;
-        }
-        self.window.push_back(ev);
+        self.window.push(batch, first, live);
     }
 
     /// Ends the trace: runs the end-of-trace check and pins acceptance.
     /// `end_time` is the `done` marker's timestamp (for deadline
     /// end-gap checks), when the tape carries one.
     fn finish(&mut self, end_time: Option<u64>) {
-        if let Some((m, s)) = &mut self.stream {
+        if let Some((m, s, _)) = &mut self.stream {
             *s = m.finish(s, end_time);
         }
-        let gs = self.gs.as_mut().expect("session guard state present");
+        let gs = &mut self.gs;
         if !gs.health.is_ok() {
             // A degraded monitor renders no verdict on the full trace.
             self.accepted = None;
@@ -377,6 +467,7 @@ impl Session {
         stream: Option<&str>,
         session: u64,
         config: &ServerConfig,
+        decoder: &mut ViewDecoder,
     ) -> Result<(), String> {
         // Compile both before installing either: a swap is atomic.
         let new_safety = spec
@@ -391,26 +482,30 @@ impl Session {
             .transpose()?;
         let new_stream = stream.map(|src| stream_monitor(src, session)).transpose()?;
         if let Some(monitor) = new_safety {
-            let (state, earliest) = splice_state(&monitor, self.window.iter());
+            let (mut state, mut earliest) = (monitor.initial_state(), None);
+            let res = &mut self.resolution;
+            self.window.replay(decoder, |views, strings| {
+                res.reset();
+                monitor.fold_through(&mut state, views, strings, res, &mut earliest);
+            });
             let guard = Guarded::new(monitor)
                 .policy(config.policy)
                 .budget(config.budget);
             let mut gs = guard.initial_state();
             gs.state = state;
             self.guard = guard;
-            self.gs = Some(gs);
+            self.gs = gs;
             self.earliest_violation = earliest;
         }
-        if let Some((m, mut s)) = new_stream {
-            for ev in &self.window {
-                s = match m.advance_tape_event(s, ev) {
-                    Outcome::Continue(s) | Outcome::Abort { state: s, .. } => s,
-                };
-            }
-            self.stream = Some((m, s));
+        if let Some((m, mut s, mut res)) = new_stream {
+            self.window.replay(decoder, |views, strings| {
+                res.reset();
+                m.fold_through(&mut s, views, strings, &mut res);
+            });
+            self.stream = Some((m, s, res));
         }
         if spec.is_some() || stream.is_some() {
-            self.swap_truncated = self.window_dropped > 0;
+            self.swap_truncated = self.window.dropped > 0;
         }
         if self.accepted.is_some() {
             // The trace had already ended; re-judge it under the new
@@ -425,22 +520,19 @@ impl Session {
 /// Replays `window` through `monitor` from its initial state, returning
 /// the spliced state and the step of the earliest violating event seen
 /// during the replay. This is the pure core of hot-swap, shared with the
-/// tests that assert splice ≡ running the new spec over the same suffix.
+/// tests that assert splice ≡ running the new spec over the same suffix;
+/// an adapter over the view fold a swap runs on its window.
 pub fn splice_state<'a>(
     monitor: &SpecMonitor,
     window: impl IntoIterator<Item = &'a TapeEvent>,
 ) -> (SpecState, Option<u64>) {
-    let mut state = monitor.initial_state();
-    let mut earliest = None;
-    for ev in window {
-        let had = state.violation.is_some();
-        state = match monitor.advance_tape_event(state, ev) {
-            Outcome::Continue(s) | Outcome::Abort { state: s, .. } => s,
-        };
-        if !had && state.violation.is_some() && earliest.is_none() {
-            earliest = Some(ev.step);
-        }
-    }
+    let (mut state, mut earliest) = (monitor.initial_state(), None);
+    let mut res = SpecResolution::default();
+    fold_owned(window, |chunk| {
+        res.reset();
+        monitor.fold_through(&mut state, chunk.views(), chunk, &mut res, &mut earliest);
+        true
+    });
     (state, earliest)
 }
 
@@ -454,7 +546,46 @@ pub(crate) fn req_session(req: &Request) -> u64 {
     }
 }
 
-fn handle(sessions: &mut HashMap<u64, Session>, config: &ServerConfig, req: Request) -> Response {
+/// Folds an event request into its session: a batch's tape image is
+/// decoded into views by the shard's decoder, a per-event request's
+/// events are viewed where they are, and both take the same batch fold
+/// and land in the replay window whole. Returns the session id.
+fn ingest(
+    sessions: &mut HashMap<u64, Session>,
+    decoder: &mut ViewDecoder,
+    req: Request,
+) -> Result<u64, String> {
+    let missing = |session| format!("no such session {session}");
+    match req {
+        Request::EventBatch { session, tape } => {
+            let decoded = decoder
+                .decode(&tape)
+                .map_err(|e| format!("batch for session {session}: {e}"))?;
+            let s = sessions.get_mut(&session).ok_or_else(|| missing(session))?;
+            let (before, n) = (s.ingested, decoded.events().len());
+            let live = s.fold(decoded.events(), &decoded);
+            s.keep(Batch::Image(tape), before, n, live);
+            Ok(session)
+        }
+        Request::Events { session, events } => {
+            let s = sessions.get_mut(&session).ok_or_else(|| missing(session))?;
+            let views = OwnedViews::of(&events);
+            let (before, n) = (s.ingested, events.len());
+            let live = s.fold(views.views(), &views);
+            drop(views);
+            s.keep(Batch::Events(events), before, n, live);
+            Ok(session)
+        }
+        _ => unreachable!("only event requests are ingested"),
+    }
+}
+
+fn handle(
+    sessions: &mut HashMap<u64, Session>,
+    config: &ServerConfig,
+    decoder: &mut ViewDecoder,
+    req: Request,
+) -> Response {
     match req {
         Request::Open {
             session,
@@ -468,36 +599,18 @@ fn handle(sessions: &mut HashMap<u64, Session>, config: &ServerConfig, req: Requ
             }
             Err(e) => Response::Err(format!("open session {session}: {e}")),
         },
-        Request::Events { session, events } => match sessions.get_mut(&session) {
-            Some(s) => {
-                for ev in events {
-                    s.ingest(ev);
-                }
-                Response::Verdict(s.verdict(session))
+        req @ (Request::Events { .. } | Request::EventBatch { .. }) => {
+            match ingest(sessions, decoder, req) {
+                Ok(session) => Response::Verdict(sessions[&session].verdict(session)),
+                Err(e) => Response::Err(e),
             }
-            None => Response::Err(format!("no such session {session}")),
-        },
-        Request::EventBatch { session, tape } => match read_tape(&tape) {
-            Ok(events) => match sessions.get_mut(&session) {
-                Some(s) => {
-                    // The batch fold: N events advance the monitor
-                    // back-to-back without touching the shard queue (or
-                    // any reply machinery) between them.
-                    for ev in events {
-                        s.ingest(ev);
-                    }
-                    Response::Verdict(s.verdict(session))
-                }
-                None => Response::Err(format!("no such session {session}")),
-            },
-            Err(e) => Response::Err(format!("batch for session {session}: {e}")),
-        },
+        }
         Request::Swap {
             session,
             spec,
             stream,
         } => match sessions.get_mut(&session) {
-            Some(s) => match s.swap(spec.as_deref(), stream.as_deref(), session, config) {
+            Some(s) => match s.swap(spec.as_deref(), stream.as_deref(), session, config, decoder) {
                 Ok(()) => Response::Verdict(s.verdict(session)),
                 Err(e) => Response::Err(format!("swap session {session}: {e}")),
             },
@@ -518,19 +631,33 @@ fn handle(sessions: &mut HashMap<u64, Session>, config: &ServerConfig, req: Requ
 
 fn worker(rx: Receiver<Job>, config: ServerConfig) {
     let mut sessions: HashMap<u64, Session> = HashMap::new();
+    let mut decoder = ViewDecoder::new();
     let ack_every = config.ack_every.max(1) as u64;
     while let Ok(job) = rx.recv() {
         match job {
             Job::Stop => break,
             Job::Req(req, Reply::Sync(reply)) => {
-                let resp = handle(&mut sessions, &config, req);
+                let resp = handle(&mut sessions, &config, &mut decoder, req);
                 // A dead requester is not the worker's problem.
                 let _ = reply.send(resp);
             }
             Job::Req(req, Reply::Acked(sink)) => {
-                let session = req_session(&req);
-                match handle(&mut sessions, &config, req) {
-                    Response::Verdict(_) => {
+                let folded = match req {
+                    Request::Events { .. } | Request::EventBatch { .. } => {
+                        ingest(&mut sessions, &mut decoder, req)
+                    }
+                    // A control request posted here is applied; only an
+                    // error reply is delivered.
+                    req => {
+                        let session = req_session(&req);
+                        match handle(&mut sessions, &config, &mut decoder, req) {
+                            Response::Err(e) => Err(e),
+                            _ => Ok(session),
+                        }
+                    }
+                };
+                match folded {
+                    Ok(session) => {
                         // Folded. Ack cumulatively once the window
                         // fills; a declined ack just defers to a later
                         // boundary (never to before the fold — the
@@ -543,16 +670,15 @@ fn worker(rx: Receiver<Job>, config: ServerConfig) {
                             }
                         }
                     }
-                    err @ Response::Err(_) => {
+                    Err(e) => {
                         // Must-deliver: a full outbound queue blocks or
                         // buffers, it never eats the error.
-                        let _ = sink.send(err);
+                        let _ = sink.send(Response::Err(e));
                     }
-                    _ => {}
                 }
             }
             Job::Req(req, Reply::Routed(sink)) => {
-                let resp = handle(&mut sessions, &config, req);
+                let resp = handle(&mut sessions, &config, &mut decoder, req);
                 // A dead connection is not the worker's problem.
                 let _ = sink.send(resp);
             }

@@ -77,6 +77,9 @@ pub struct Alphabet {
     /// Annotation names mentioned by the spec, in first-mention order.
     names: Vec<Ident>,
     name_index: HashMap<Ident, usize>,
+    /// The same index keyed by text, so tape names resolve without
+    /// interning (an untrusted name must not grow the global interner).
+    text_index: HashMap<Box<str>, usize>,
     /// Sorted, deduplicated comparison constants.
     consts: Vec<i64>,
     /// Value-class representatives; class 0 is always `Other`.
@@ -150,9 +153,15 @@ impl Alphabet {
             None
         };
 
+        let text_index = names
+            .iter()
+            .enumerate()
+            .map(|(i, id)| (Box::from(id.as_str()), i))
+            .collect();
         let alphabet = Alphabet {
             names,
             name_index,
+            text_index,
             consts,
             value_reps,
             region_class,
@@ -189,6 +198,15 @@ impl Alphabet {
             .unwrap_or(self.names.len())
     }
 
+    /// The name class of a name given as text — a tape's name. Looks the
+    /// text up without interning it.
+    pub fn name_class_of(&self, name: &str) -> usize {
+        self.text_index
+            .get(name)
+            .copied()
+            .unwrap_or(self.names.len())
+    }
+
     /// The value class of a concrete observed value.
     pub fn classify_value(&self, v: &Value) -> usize {
         match v {
@@ -216,7 +234,14 @@ impl Alphabet {
     /// description preserves exactly the inputs the abstraction reads
     /// (the integer itself, and list unsortedness).
     pub fn classify_desc(&self, desc: &monsem_monitor::tape::ValueDesc) -> usize {
-        match desc.int {
+        self.classify_parts(desc.int, desc.unsorted)
+    }
+
+    /// The value class of a value described by its parts: the integer,
+    /// if it was one, and list unsortedness — what an
+    /// [`EventView`](monsem_monitor::tape::EventView) carries.
+    pub fn classify_parts(&self, int: Option<i64>, unsorted: bool) -> usize {
+        match int {
             Some(n) if !self.consts.is_empty() => {
                 let i = self.consts.partition_point(|c| *c < n);
                 let region = if i < self.consts.len() && self.consts[i] == n {
@@ -229,7 +254,7 @@ impl Alphabet {
                 class
             }
             _ => match self.unsorted_class {
-                Some(class) if desc.unsorted => class,
+                Some(class) if unsorted => class,
                 _ => 0,
             },
         }
@@ -445,6 +470,10 @@ pub struct Automaton {
     dead: Vec<bool>,
     /// `relevant[letter]` — some state moves on this letter.
     relevant: Vec<bool>,
+    /// `observed[letter]` — the monitor adapter observes events carrying
+    /// this letter (see [`Automaton::letter_observed`]); precomputed so
+    /// the per-event gate is one load.
+    observed: Vec<bool>,
 }
 
 /// Groups equal columns of a row-major `nstates × nclasses` table whose
@@ -830,7 +859,7 @@ impl Automaton {
             })
             .collect();
 
-        Ok(Automaton {
+        let mut aut = Automaton {
             alphabet,
             re: start,
             raw_states: raw_states as u32,
@@ -841,7 +870,16 @@ impl Automaton {
             nullable,
             dead,
             relevant,
-        })
+            observed: Vec::new(),
+        };
+        aut.observed = (0..width as u32)
+            .map(|l| match aut.alphabet.decode(l) {
+                (Phase::Pre, nc, _) => aut.pre_relevant(nc),
+                (Phase::Post, nc, _) => aut.post_relevant(nc),
+                (Phase::Done, _, _) => aut.letter_relevant(l),
+            })
+            .collect();
+        Ok(aut)
     }
 
     /// The abstract alphabet.
@@ -932,11 +970,7 @@ impl Automaton {
     /// — so monitor state evolves identically whether or not a machine
     /// skips the hooks that hint rules out.
     pub fn letter_observed(&self, letter: u32) -> bool {
-        match self.alphabet.decode(letter) {
-            (Phase::Pre, nc, _) => self.pre_relevant(nc),
-            (Phase::Post, nc, _) => self.post_relevant(nc),
-            (Phase::Done, _, _) => self.letter_relevant(letter),
-        }
+        self.observed[letter as usize]
     }
 
     /// Runs the DFA over a whole word and reports acceptance — the

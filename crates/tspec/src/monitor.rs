@@ -19,10 +19,12 @@
 use crate::automaton::Automaton;
 use crate::{Spec, SpecError};
 use monsem_core::Value;
-use monsem_monitor::tape::{short_display, TapeEvent, TapePhase};
+use monsem_monitor::tape::{
+    fold_owned, short_display, EventView, FoldEnd, Strings, TapeEvent, TapePhase, NO_STRING,
+};
 use monsem_monitor::{HookPhase, MergeMonitor, Monitor, Outcome, Scope};
 use monsem_syntax::{Annotation, Expr, Namespace};
-use std::collections::VecDeque;
+use std::fmt;
 use std::sync::Arc;
 
 /// Default bound on the recent-event trace kept in [`SpecState`].
@@ -86,6 +88,173 @@ impl ShardTape {
     }
 }
 
+/// An entry of the recent-event ring not rendered yet: it refers to the
+/// string table of the fold in progress.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pending {
+    Pre { name: u32 },
+    Post { name: u32, display: u32 },
+}
+
+impl Pending {
+    fn of(ev: &EventView) -> Pending {
+        match ev.phase {
+            TapePhase::Post => Pending::Post {
+                name: ev.name,
+                display: ev.display,
+            },
+            _ => Pending::Pre { name: ev.name },
+        }
+    }
+
+    /// The entry's text — `pre p` or `post p = 7` — exactly as the live
+    /// hooks describe the event.
+    fn render(self, strings: &dyn Strings, out: &mut String) {
+        match self {
+            Pending::Pre { name } => {
+                out.push_str("pre ");
+                out.push_str(strings.get(name));
+            }
+            Pending::Post { name, display } => {
+                out.push_str("post ");
+                out.push_str(strings.get(name));
+                out.push_str(" = ");
+                out.push_str(match display {
+                    NO_STRING => "?",
+                    id => strings.get(id),
+                });
+            }
+        }
+    }
+}
+
+/// An event description on its way into the ring: text from a live
+/// hook, or a view into the string table of the fold in progress.
+enum Desc<'s> {
+    Text(String),
+    View(Pending, &'s dyn Strings),
+}
+
+/// The bounded ring of recent observed events that violation reasons
+/// quote. Slots keep their text buffers, and an event folded from a tape
+/// is stored as string ids that are rendered once, when its fold ends
+/// (or when the DFA dies), so a steady-state fold allocates nothing per
+/// event.
+#[derive(Clone, Default)]
+pub struct TraceRing {
+    /// The ring's bound, fixed by the first push.
+    cap: usize,
+    texts: Vec<String>,
+    pending: Vec<Option<Pending>>,
+    /// Slot of the oldest entry.
+    head: usize,
+    len: usize,
+}
+
+impl TraceRing {
+    /// Number of entries held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no entry is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The entries' texts, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        debug_assert!(self.pending.iter().all(Option::is_none), "ring rendered");
+        (0..self.len).map(|k| self.texts[self.slot(k)].as_str())
+    }
+
+    fn slot(&self, k: usize) -> usize {
+        (self.head + k) % self.cap
+    }
+
+    fn push(&mut self, cap: usize, desc: Desc<'_>) {
+        if self.len == 0 {
+            self.cap = cap;
+            self.head = 0;
+        }
+        let slot = if self.len < self.cap {
+            self.len += 1;
+            self.slot(self.len - 1)
+        } else {
+            let oldest = self.head;
+            self.head = (self.head + 1) % self.cap;
+            oldest
+        };
+        if slot >= self.texts.len() {
+            self.texts.resize_with(slot + 1, String::new);
+            self.pending.resize(slot + 1, None);
+        }
+        match desc {
+            Desc::Text(text) => {
+                self.texts[slot] = text;
+                self.pending[slot] = None;
+            }
+            Desc::View(p, _) => self.pending[slot] = Some(p),
+        }
+    }
+
+    /// Renders the entries that still refer to `strings`, into their
+    /// slots' buffers. Folds call this before their string table goes.
+    pub(crate) fn render_pending(&mut self, strings: &dyn Strings) {
+        for (slot, pending) in self.pending.iter_mut().enumerate() {
+            if let Some(p) = pending.take() {
+                let text = &mut self.texts[slot];
+                text.clear();
+                p.render(strings, text);
+            }
+        }
+    }
+
+    /// The entries joined with `", "`, rendering pending ones from
+    /// `strings`.
+    fn joined(&self, strings: Option<&dyn Strings>) -> String {
+        let mut out = String::new();
+        for k in 0..self.len {
+            if k > 0 {
+                out.push_str(", ");
+            }
+            let slot = self.slot(k);
+            match (self.pending[slot], strings) {
+                (Some(p), Some(strings)) => p.render(strings, &mut out),
+                _ => out.push_str(&self.texts[slot]),
+            }
+        }
+        out
+    }
+}
+
+impl PartialEq for TraceRing {
+    fn eq(&self, other: &TraceRing) -> bool {
+        self.len == other.len
+            && (0..self.len).all(|k| {
+                let (a, b) = (self.slot(k), other.slot(k));
+                self.pending[a] == other.pending[b]
+                    && (self.pending[a].is_some() || self.texts[a] == other.texts[b])
+            })
+    }
+}
+
+impl Eq for TraceRing {}
+
+impl fmt::Debug for TraceRing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len).map(|k| {
+                let slot = self.slot(k);
+                match self.pending[slot] {
+                    Some(p) => format!("{p:?}"),
+                    None => self.texts[slot].clone(),
+                }
+            }))
+            .finish()
+    }
+}
+
 /// The monitor state: current DFA state plus a bounded match trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecState {
@@ -94,7 +263,7 @@ pub struct SpecState {
     /// Number of relevant events observed.
     pub events: u64,
     /// The most recent relevant events (bounded ring).
-    pub trace: VecDeque<String>,
+    pub trace: TraceRing,
     /// The first violation observed, if any (an observing monitor records
     /// it here and keeps running).
     pub violation: Option<String>,
@@ -111,6 +280,108 @@ pub struct SpecState {
     /// full replay from the fork). Violations already on record remain
     /// authoritative.
     pub lossy: bool,
+}
+
+/// The `Copy` core of a [`SpecState`]: what one observed event changes,
+/// so restoring it undoes the event. The batch guard snapshots this
+/// before each event instead of cloning the state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecCore {
+    state: u32,
+    events: u64,
+    head: usize,
+    len: usize,
+    violated: bool,
+}
+
+impl SpecState {
+    /// The state's `Copy` core.
+    pub fn core(&self) -> SpecCore {
+        SpecCore {
+            state: self.state,
+            events: self.events,
+            head: self.trace.head,
+            len: self.trace.len,
+            violated: self.violation.is_some(),
+        }
+    }
+
+    /// Rolls the state back to `core`, taken before the events since.
+    /// An event step changes nothing before its last fallible operation,
+    /// so one that faulted left at most these fields behind.
+    pub fn restore_core(&mut self, core: SpecCore) {
+        self.state = core.state;
+        self.events = core.events;
+        self.trace.head = core.head;
+        self.trace.len = core.len;
+        if !core.violated {
+            self.violation = None;
+        }
+    }
+}
+
+/// A string table resolved against one [`SpecMonitor`]: per string id,
+/// whether it is the watched namespace and which name class it denotes.
+/// Filled lazily as a fold meets each id, so every string is resolved at
+/// most once per table, and never interned. The buffers are reused:
+/// [`SpecResolution::reset`] before each new table.
+#[derive(Debug, Clone, Default)]
+pub struct SpecResolution {
+    ours: Vec<u8>,
+    class: Vec<u32>,
+}
+
+const UNRESOLVED: u32 = u32::MAX;
+
+impl SpecResolution {
+    /// Forgets the previous table's ids, keeping the buffers.
+    pub fn reset(&mut self) {
+        self.ours.clear();
+        self.class.clear();
+    }
+
+    fn ours(&mut self, m: &SpecMonitor, id: u32, strings: &dyn Strings) -> bool {
+        if id == NO_STRING {
+            return m.namespace.as_str().is_empty();
+        }
+        let i = id as usize;
+        if i >= self.ours.len() {
+            self.ours.resize(i + 1, 0);
+        }
+        if self.ours[i] == 0 {
+            self.ours[i] = if strings.get(id) == m.namespace.as_str() {
+                1
+            } else {
+                2
+            };
+        }
+        self.ours[i] == 1
+    }
+
+    fn class(&mut self, m: &SpecMonitor, id: u32, strings: &dyn Strings) -> usize {
+        if id == NO_STRING {
+            return m.automaton().alphabet().name_class_of("");
+        }
+        let i = id as usize;
+        if i >= self.class.len() {
+            self.class.resize(i + 1, UNRESOLVED);
+        }
+        if self.class[i] == UNRESOLVED {
+            self.class[i] = m.automaton().alphabet().name_class_of(strings.get(id)) as u32;
+        }
+        self.class[i] as usize
+    }
+}
+
+/// An offline check in progress: the state of
+/// [`SpecMonitor::check_tape_seeded`] between runs of event views.
+#[derive(Debug)]
+pub struct CheckFold {
+    state: SpecState,
+    earliest: Option<u64>,
+    completed: bool,
+    aborted: bool,
+    resolution: SpecResolution,
 }
 
 fn short_value(v: &Value) -> String {
@@ -204,36 +475,168 @@ impl SpecMonitor {
         letter: u32,
         desc: impl FnOnce() -> String,
     ) -> Outcome<SpecState> {
-        let aut = self.automaton();
-        if !aut.letter_observed(letter) {
+        if !self.automaton().letter_observed(letter) {
             return Outcome::Continue(s);
         }
-        let desc = desc();
+        match self.observe(&mut s, letter, Desc::Text(desc())) {
+            Outcome::Continue(()) => Outcome::Continue(s),
+            Outcome::Abort {
+                monitor, reason, ..
+            } => Outcome::Abort {
+                state: s,
+                monitor,
+                reason,
+            },
+        }
+    }
+
+    /// Observes one event whose letter passed the observation gate: the
+    /// DFA step, the counters, the ring and the violation, in place.
+    ///
+    /// The only fallible operation — the table lookup, which a corrupt
+    /// state indexes out of bounds — comes first, so a step that faults
+    /// has changed nothing.
+    fn observe(&self, s: &mut SpecState, letter: u32, desc: Desc<'_>) -> Outcome<()> {
+        let aut = self.automaton();
+        let next = aut.step(s.state, letter);
         if let Some(tape) = &mut s.tape {
-            tape.push(letter, &desc);
+            let mut text = String::new();
+            match &desc {
+                Desc::Text(t) => text.push_str(t),
+                Desc::View(p, strings) => p.render(*strings, &mut text),
+            }
+            tape.push(letter, &text);
         }
         s.events += 1;
+        s.state = next;
+        if s.violation.is_some() || !aut.is_dead(next) {
+            if self.trace_cap > 0 {
+                s.trace.push(self.trace_cap, desc);
+            }
+            return Outcome::Continue(());
+        }
+        // The DFA died: the one place event text is rendered eagerly.
+        let (desc, strings) = match desc {
+            Desc::Text(text) => (text, None),
+            Desc::View(p, strings) => {
+                let mut text = String::new();
+                p.render(strings, &mut text);
+                (text, Some(strings))
+            }
+        };
         if self.trace_cap > 0 {
-            if s.trace.len() == self.trace_cap {
-                s.trace.pop_front();
-            }
-            s.trace.push_back(desc.clone());
+            s.trace.push(self.trace_cap, Desc::Text(desc.clone()));
         }
-        s.state = aut.step(s.state, letter);
-        if s.violation.is_none() && aut.is_dead(s.state) {
-            let recent: Vec<String> = s.trace.iter().cloned().collect();
-            let reason = format!(
-                "spec `{}` violated at event #{} ({desc}); recent: [{}]",
-                self.name,
-                s.events,
-                recent.join(", ")
-            );
-            s.violation = Some(reason.clone());
-            if self.enforcing {
-                return Outcome::abort(s, self.name.clone(), reason);
+        let recent = s.trace.joined(strings);
+        let reason = format!(
+            "spec `{}` violated at event #{} ({desc}); recent: [{recent}]",
+            self.name, s.events,
+        );
+        s.violation = Some(reason.clone());
+        if self.enforcing {
+            return Outcome::abort((), self.name.clone(), reason);
+        }
+        Outcome::Continue(())
+    }
+
+    /// Folds one event view in place — the step every tape path takes:
+    /// the event's strings resolve through `res` (once per id and table),
+    /// the letter's gate and transition are table loads, and the ring
+    /// keeps the event as ids until its fold ends. Records the step of
+    /// the event that first enters a violation in `earliest`.
+    ///
+    /// `done` markers and foreign-namespace events leave the state
+    /// untouched. After the last event of a table, call
+    /// [`SpecMonitor::end_views`] so the ring stops referring to it.
+    pub fn fold_view(
+        &self,
+        s: &mut SpecState,
+        ev: &EventView,
+        strings: &dyn Strings,
+        res: &mut SpecResolution,
+        earliest: &mut Option<u64>,
+    ) -> Outcome<()> {
+        if ev.phase == TapePhase::Done || !res.ours(self, ev.namespace, strings) {
+            return Outcome::Continue(());
+        }
+        let nc = res.class(self, ev.name, strings);
+        self.fold_classified(s, ev, nc, strings, earliest)
+    }
+
+    fn fold_classified(
+        &self,
+        s: &mut SpecState,
+        ev: &EventView,
+        nc: usize,
+        strings: &dyn Strings,
+        earliest: &mut Option<u64>,
+    ) -> Outcome<()> {
+        let aut = self.automaton();
+        let alphabet = aut.alphabet();
+        let letter = match ev.phase {
+            TapePhase::Pre => alphabet.pre_letter(nc),
+            _ => alphabet.post_letter(nc, alphabet.classify_parts(ev.int, ev.unsorted)),
+        };
+        if !aut.letter_observed(letter) {
+            return Outcome::Continue(());
+        }
+        let had = s.violation.is_some();
+        let out = self.observe(s, letter, Desc::View(Pending::of(ev), strings));
+        if !had && s.violation.is_some() && earliest.is_none() {
+            *earliest = Some(ev.step);
+        }
+        out
+    }
+
+    /// Renders the ring entries that still refer to `strings`: the end of
+    /// a fold over one string table.
+    pub fn end_views(&self, s: &mut SpecState, strings: &dyn Strings) {
+        s.trace.render_pending(strings);
+    }
+
+    /// Folds a run of event views (one string table) until its end, a
+    /// `done` marker, or an abort verdict — the batch fold behind every
+    /// tape path. Ends the table ([`SpecMonitor::end_views`]) before
+    /// returning.
+    pub fn fold_views(
+        &self,
+        s: &mut SpecState,
+        views: &[EventView],
+        strings: &dyn Strings,
+        res: &mut SpecResolution,
+        earliest: &mut Option<u64>,
+    ) -> FoldEnd {
+        let mut end = FoldEnd::End;
+        for (i, ev) in views.iter().enumerate() {
+            if ev.phase == TapePhase::Done {
+                end = FoldEnd::Done(i);
+                break;
+            }
+            if let Outcome::Abort { .. } = self.fold_view(s, ev, strings, res, earliest) {
+                end = FoldEnd::Abort(i);
+                break;
             }
         }
-        Outcome::Continue(s)
+        self.end_views(s, strings);
+        end
+    }
+
+    /// [`SpecMonitor::fold_views`] over every event: `done` markers and
+    /// abort verdicts are passed over, as hot-swap splicing and
+    /// checkpoint writing need.
+    pub fn fold_through(
+        &self,
+        s: &mut SpecState,
+        mut views: &[EventView],
+        strings: &dyn Strings,
+        res: &mut SpecResolution,
+        earliest: &mut Option<u64>,
+    ) {
+        while let FoldEnd::Done(i) | FoldEnd::Abort(i) =
+            self.fold_views(s, views, strings, res, earliest)
+        {
+            views = &views[i + 1..];
+        }
     }
 
     /// Ends the trace: feeds the synthetic `done` event and checks that
@@ -279,35 +682,31 @@ impl SpecMonitor {
     /// live run would have: the event's name and value description are
     /// abstracted through the same alphabet maps the in-process hooks
     /// use, so checking a tape offline reaches the same states (and the
-    /// same verdicts) as monitoring the original execution.
+    /// same verdicts) as monitoring the original execution. The name is
+    /// looked up, not interned.
     ///
     /// Events from foreign namespaces — and [`TapePhase::Done`], which is
     /// handled by [`SpecMonitor::check_tape`] via [`SpecMonitor::finish`]
     /// — leave the state untouched.
-    pub fn advance_tape_event(&self, state: SpecState, ev: &TapeEvent) -> Outcome<SpecState> {
-        if ev.namespace != self.namespace.as_str() {
+    ///
+    /// This is the one-event case of [`SpecMonitor::fold_view`].
+    pub fn advance_tape_event(&self, mut state: SpecState, ev: &TapeEvent) -> Outcome<SpecState> {
+        if ev.phase == TapePhase::Done || ev.namespace != self.namespace.as_str() {
             return Outcome::Continue(state);
         }
-        let aut = self.automaton();
-        let alphabet = aut.alphabet();
-        let nc = alphabet.name_class(&monsem_syntax::Ident::new(&ev.name));
-        match ev.phase {
-            TapePhase::Pre => {
-                let letter = alphabet.pre_letter(nc);
-                self.advance(state, letter, || format!("pre {}", ev.name))
-            }
-            TapePhase::Post => {
-                let vc = match &ev.value {
-                    Some(desc) => alphabet.classify_desc(desc),
-                    None => 0,
-                };
-                let letter = alphabet.post_letter(nc, vc);
-                self.advance(state, letter, || {
-                    let shown = ev.value.as_ref().map_or("?", |d| d.display.as_str());
-                    format!("post {} = {shown}", ev.name)
-                })
-            }
-            TapePhase::Done => Outcome::Continue(state),
+        let views = OwnedEvent::of(ev);
+        let nc = self.automaton().alphabet().name_class_of(&ev.name);
+        let out = self.fold_classified(&mut state, &views.view, nc, &views, &mut None);
+        self.end_views(&mut state, &views);
+        match out {
+            Outcome::Continue(()) => Outcome::Continue(state),
+            Outcome::Abort {
+                monitor, reason, ..
+            } => Outcome::Abort {
+                state,
+                monitor,
+                reason,
+            },
         }
     }
 
@@ -331,40 +730,86 @@ impl SpecMonitor {
     /// already set) is reported with the seed's own earliest step left to
     /// the caller to merge; violations discovered *during* this replay
     /// are stamped with their tape step as usual.
+    ///
+    /// An adapter over [`SpecMonitor::check_views`]: the events are
+    /// folded as views, a chunk at a time.
     pub fn check_tape_seeded<'a>(
         &self,
         seed: SpecState,
         events: impl IntoIterator<Item = &'a TapeEvent>,
     ) -> TapeCheck {
-        let mut state = seed;
-        let mut earliest: Option<u64> = None;
-        let mut completed = false;
-        for ev in events {
-            if matches!(ev.phase, TapePhase::Done) {
-                completed = true;
-                break;
+        let mut fold = self.check_fold(seed);
+        fold_owned(events, |chunk| {
+            self.check_views(&mut fold, chunk.views(), chunk)
+        });
+        self.check_result(fold)
+    }
+
+    /// Starts an offline check from `seed`.
+    pub fn check_fold(&self, seed: SpecState) -> CheckFold {
+        CheckFold {
+            state: seed,
+            earliest: None,
+            completed: false,
+            aborted: false,
+            resolution: SpecResolution::default(),
+        }
+    }
+
+    /// Feeds one run of event views (one string table) to a check.
+    /// Returns `false` once the check has concluded — at a `done` marker,
+    /// or at an enforcing monitor's first violation — and folds nothing
+    /// after that.
+    pub fn check_views(
+        &self,
+        fold: &mut CheckFold,
+        views: &[EventView],
+        strings: &dyn Strings,
+    ) -> bool {
+        if fold.completed || fold.aborted {
+            return false;
+        }
+        fold.resolution.reset();
+        match self.fold_views(
+            &mut fold.state,
+            views,
+            strings,
+            &mut fold.resolution,
+            &mut fold.earliest,
+        ) {
+            FoldEnd::End => true,
+            FoldEnd::Done(_) => {
+                fold.completed = true;
+                false
             }
-            let before = state.violation.is_some();
-            state = match self.advance_tape_event(state, ev) {
-                Outcome::Continue(s) => s,
-                Outcome::Abort { state: s, .. } => {
-                    if earliest.is_none() {
-                        earliest = Some(ev.step);
-                    }
-                    return TapeCheck {
-                        outcome: TapeOutcome::Violated(
-                            s.violation
-                                .clone()
-                                .unwrap_or_else(|| "violated".to_string()),
-                        ),
-                        earliest_violation: earliest,
-                        state: s,
-                    };
-                }
+            FoldEnd::Abort(_) => {
+                fold.aborted = true;
+                false
+            }
+        }
+    }
+
+    /// The verdict of a check: closes the trace with
+    /// [`SpecMonitor::finish`] if a `done` marker was folded.
+    pub fn check_result(&self, fold: CheckFold) -> TapeCheck {
+        let CheckFold {
+            state,
+            earliest,
+            completed,
+            aborted,
+            ..
+        } = fold;
+        if aborted {
+            return TapeCheck {
+                outcome: TapeOutcome::Violated(
+                    state
+                        .violation
+                        .clone()
+                        .unwrap_or_else(|| "violated".to_string()),
+                ),
+                earliest_violation: earliest,
+                state,
             };
-            if !before && state.violation.is_some() && earliest.is_none() {
-                earliest = Some(ev.step);
-            }
         }
         if completed {
             match self.finish(&state) {
@@ -398,6 +843,38 @@ impl SpecMonitor {
                 state,
             }
         }
+    }
+}
+
+/// One owned event as a view over its own strings, without a heap
+/// buffer: the one-event adapter.
+struct OwnedEvent<'a> {
+    view: EventView,
+    strings: [&'a str; 2],
+}
+
+impl<'a> OwnedEvent<'a> {
+    fn of(ev: &'a TapeEvent) -> OwnedEvent<'a> {
+        let value = ev.value.as_ref().filter(|_| ev.phase == TapePhase::Post);
+        OwnedEvent {
+            view: EventView {
+                phase: ev.phase,
+                namespace: NO_STRING,
+                name: 0,
+                display: if value.is_some() { 1 } else { NO_STRING },
+                int: value.and_then(|d| d.int),
+                unsorted: value.is_some_and(|d| d.unsorted),
+                step: ev.step,
+                time: ev.time,
+            },
+            strings: [&ev.name, value.map_or("", |d| d.display.as_str())],
+        }
+    }
+}
+
+impl Strings for OwnedEvent<'_> {
+    fn get(&self, id: u32) -> &str {
+        Strings::get(&self.strings[..], id)
     }
 }
 
@@ -462,7 +939,7 @@ impl Monitor for SpecMonitor {
         SpecState {
             state: self.automaton().start(),
             events: 0,
-            trace: VecDeque::new(),
+            trace: TraceRing::default(),
             violation: None,
             tape: None,
             lossy: false,

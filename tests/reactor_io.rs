@@ -381,3 +381,81 @@ fn reactor_parks_full_queues_without_losing_frames() {
     handle.stop();
     server.shutdown();
 }
+
+/// Request round trips over TCP answer in well under the peer's
+/// delayed-ACK timer (40 ms on Linux) on both backends, also a close
+/// right after fire-and-forget batches. A frame written as a separate
+/// length prefix and payload left the payload queued behind Nagle's
+/// algorithm until that timer fired, so every request took 40–90 ms;
+/// with whole-frame writes but Nagle on, a close still waited behind
+/// the unacknowledged batches.
+#[test]
+fn tcp_round_trips_do_not_wait_for_delayed_acks() {
+    for (name, backend) in both_backends() {
+        let server = Arc::new(MonitorServer::start(ServerConfig::default()));
+        let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", backend).expect("bind");
+        let mut client = Client::connect_tcp(handle.addr().unwrap()).unwrap();
+        let events = tape(64, &[]);
+        let mut times = Vec::new();
+        for i in 0..20u64 {
+            let t = Instant::now();
+            match client.open(i, SPEC, false).unwrap() {
+                Response::Ok => {}
+                other => panic!("{name}: open failed: {other:?}"),
+            }
+            times.push(t.elapsed());
+            for chunk in events.chunks(16) {
+                client.send_batch(i, chunk).unwrap();
+            }
+            let t = Instant::now();
+            verdict(client.close(i).unwrap());
+            times.push(t.elapsed());
+        }
+        times.sort();
+        let median = times[times.len() / 2];
+        assert!(
+            median < Duration::from_millis(20),
+            "{name}: median request round trip {median:?}"
+        );
+        handle.stop();
+        server.shutdown();
+    }
+}
+
+/// A producer that reads no acks until it closes: the acks pile up
+/// until the reactor's socket refuses more, the reactor stops retrying
+/// the write until the socket reports writable, and the close still
+/// gets every ack and then the verdict once the producer reads.
+#[test]
+fn unread_acks_wait_for_writability_and_the_close_still_answers() {
+    let server = Arc::new(MonitorServer::start(ServerConfig {
+        ack_every: 1,
+        ..ServerConfig::default()
+    }));
+    let path = std::env::temp_dir().join(format!("monsem-unread-acks-{}.sock", std::process::id()));
+    let handle = monitoring_semantics::tape::serve_unix_with(
+        Arc::clone(&server),
+        &path,
+        IoBackend::Reactor { io_threads: 1 },
+    )
+    .expect("bind unix socket");
+    let mut client = Client::connect_unix(&path).unwrap();
+    match client.open(1, SPEC, false).unwrap() {
+        Response::Ok => {}
+        other => panic!("open failed: {other:?}"),
+    }
+    // One ack per event: thousands of small ack frames, far more than
+    // a Unix socket buffers for a peer that is not reading.
+    let events = tape(3000, &[1234]);
+    let (want_accept, want_earliest) = oracle(&events);
+    for ev in &events {
+        client.send_batch(1, std::slice::from_ref(ev)).unwrap();
+    }
+    let v = verdict(client.close(1).unwrap());
+    assert_eq!(v.ingested, events.len() as u64);
+    assert_eq!(v.accepted, Some(want_accept));
+    assert_eq!(v.earliest_violation, want_earliest);
+    handle.stop();
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
