@@ -17,12 +17,12 @@
 //! pipelined ingest over real sockets vs producer count, a batch-size
 //! ablation against the synchronous per-event protocol, and
 //! checkpoint-seeded vs full-replay check time),
-//! `BENCH_server_conns.json` (concurrent-connection sweep: threaded
-//! thread-per-connection I/O vs the epoll reactor, with peak thread
-//! count and RSS per point) and `BENCH_stream.json` (stream-monitor
-//! throughput vs window count and width, with the allocation-free
-//! steady state asserted by a counting allocator) — into `<dir>`, so
-//! the performance trajectory can be tracked across revisions.
+//! `BENCH_server_conns.json` (concurrent-connection sweep on the epoll
+//! reactor, with peak thread count and RSS per point) and
+//! `BENCH_stream.json` (stream-monitor throughput vs window count and
+//! width, with the allocation-free steady state asserted by a counting
+//! allocator) — into `<dir>`, so the performance trajectory can be
+//! tracked across revisions.
 //!
 //! Absolute times are machine-dependent; the *shape* (who wins, by what
 //! factor, linearity in monitoring activity) is what reproduces the paper.
@@ -1537,20 +1537,17 @@ fn server_scale(json: Option<&Path>) {
     }
 }
 
-/// Connection-count sweep: C concurrent sessions over TCP on the
-/// threaded backend vs the epoll reactor. Every point's close verdicts
-/// are asserted against the offline oracle inside the timed run (the
-/// close round trip is the barrier), and a sampler thread records the
-/// process's peak thread count and RSS from `/proc/self/status` — the
-/// threaded backend pays ~2 threads per connection, the reactor a fixed
-/// pool, which is the whole point of the table.
+/// Connection-count sweep: C concurrent sessions over TCP on the epoll
+/// reactor. Every point's close verdicts are asserted against the
+/// offline oracle inside the timed run (the close round trip is the
+/// barrier), and a sampler thread records the process's peak thread
+/// count and RSS from `/proc/self/status` — the reactor holds a fixed
+/// pool of threads whatever C is, which the C = 1024 point asserts.
 fn server_conns(json: Option<&Path>) {
     use monsem_core::Value;
     use monsem_monitor::TapeEvent;
     use monsem_syntax::Annotation;
-    use monsem_tape::{
-        serve_tcp_with, Client, IoBackend, MonitorServer, Request, Response, ServerConfig,
-    };
+    use monsem_tape::{serve_tcp_with, Client, MonitorServer, Request, Response, ServerConfig};
     use monsem_tspec::{SpecMonitor, TapeOutcome};
     use std::net::TcpStream;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -1569,7 +1566,7 @@ fn server_conns(json: Option<&Path>) {
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let shards = ServerConfig::default().shards;
     header(&format!(
-        "Server connection scaling: C concurrent sessions, threaded vs reactor I/O\n\
+        "Server connection scaling: C concurrent sessions, epoll reactor with {IO_THREADS} I/O threads\n\
          host_cpus = {host_cpus}; every point's close verdicts are asserted against\n\
          the offline oracle inside the timed run"
     ));
@@ -1608,166 +1605,123 @@ fn server_conns(json: Option<&Path>) {
     }
 
     let ann = Annotation::label("req");
-    let mut points: Vec<(String, usize, usize, Duration, f64, u64, u64)> = Vec::new();
-    let mut epms_at_one: Vec<(String, f64)> = Vec::new();
+    let backend = format!("reactor:{IO_THREADS}");
+    let mut points: Vec<(usize, usize, Duration, f64, u64, u64)> = Vec::new();
 
-    for (backend_name, backend) in [
-        ("threaded".to_string(), IoBackend::Threaded),
-        (
-            format!("reactor:{IO_THREADS}"),
-            IoBackend::Reactor {
-                io_threads: IO_THREADS,
-            },
-        ),
-    ] {
-        for &conns in CONNS {
-            let per_conn = (TOTAL / conns).max(MIN_PER_CONN);
-            // One shared workload per point, violation on a late step so
-            // earliest-violation tracking is paid for on every session.
-            let violate_at = per_conn as u64 - 2;
-            let events: Vec<TapeEvent> = (0..per_conn)
-                .map(|i| {
-                    let v = if i as u64 == violate_at {
-                        -1
-                    } else {
-                        (i % 97) as i64
-                    };
-                    TapeEvent::post(&ann, &Value::Int(v), i as u64)
-                })
-                .collect();
-            let oracle = SpecMonitor::new("oracle", SPEC)
-                .unwrap()
-                .check_tape(events.iter());
-            let oracle_earliest = oracle.earliest_violation;
-            let oracle_violated = matches!(oracle.outcome, TapeOutcome::Violated(_));
-            assert!(oracle_violated, "the workload must exercise violations");
-            let chunk = per_conn.min(1024);
+    for &conns in CONNS {
+        let per_conn = (TOTAL / conns).max(MIN_PER_CONN);
+        // One shared workload per point, violation on a late step so
+        // earliest-violation tracking is paid for on every session.
+        let violate_at = per_conn as u64 - 2;
+        let events: Vec<TapeEvent> = (0..per_conn)
+            .map(|i| {
+                let v = if i as u64 == violate_at {
+                    -1
+                } else {
+                    (i % 97) as i64
+                };
+                TapeEvent::post(&ann, &Value::Int(v), i as u64)
+            })
+            .collect();
+        let oracle = SpecMonitor::new("oracle", SPEC)
+            .unwrap()
+            .check_tape(events.iter());
+        let oracle_earliest = oracle.earliest_violation;
+        let oracle_violated = matches!(oracle.outcome, TapeOutcome::Violated(_));
+        assert!(oracle_violated, "the workload must exercise violations");
+        let chunk = per_conn.min(1024);
 
-            let server = Arc::new(MonitorServer::start(ServerConfig::default()));
-            let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", backend)
-                .expect("bind sweep listener");
-            let addr = handle.addr().expect("tcp listener has an address");
+        let server = Arc::new(MonitorServer::start(ServerConfig::default()));
+        let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", IO_THREADS)
+            .expect("bind sweep listener");
+        let addr = handle.addr().expect("tcp listener has an address");
 
-            let stop = AtomicBool::new(false);
-            let peak_threads = AtomicU64::new(0);
-            let peak_rss = AtomicU64::new(0);
-            let events_ref = &events;
+        let stop = AtomicBool::new(false);
+        let peak_threads = AtomicU64::new(0);
+        let peak_rss = AtomicU64::new(0);
+        let events_ref = &events;
 
-            let wall = std::thread::scope(|scope| {
-                scope.spawn(|| sample_status(&stop, &peak_threads, &peak_rss));
-                let start = Instant::now();
-                std::thread::scope(|run| {
-                    for d in 0..DRIVERS.min(conns) {
-                        run.spawn(move || {
-                            // Driver d owns every session ≡ d (mod drivers)
-                            // and keeps all of them in flight at once,
-                            // interleaving one chunk per session per round.
-                            let drivers = DRIVERS.min(conns);
-                            let mine: Vec<u64> =
-                                (d as u64..conns as u64).step_by(drivers).collect();
-                            let mut clients: Vec<Client<TcpStream>> = mine
-                                .iter()
-                                .map(|&session| {
-                                    let mut c = connect_retrying(addr);
-                                    let resp = c
-                                        .request(&Request::Open {
-                                            session,
-                                            enforcing: false,
-                                            spec: SPEC.to_string(),
-                                            stream: None,
-                                        })
-                                        .expect("open");
-                                    assert!(matches!(resp, Response::Ok), "open: {resp:?}");
-                                    c
-                                })
-                                .collect();
-                            for at in (0..per_conn).step_by(chunk) {
-                                let slice = &events_ref[at..(at + chunk).min(per_conn)];
-                                for (k, c) in clients.iter_mut().enumerate() {
-                                    c.send_batch(mine[k], slice).expect("send");
-                                }
-                            }
-                            for (k, c) in clients.iter_mut().enumerate() {
+        let wall = std::thread::scope(|scope| {
+            scope.spawn(|| sample_status(&stop, &peak_threads, &peak_rss));
+            let start = Instant::now();
+            std::thread::scope(|run| {
+                for d in 0..DRIVERS.min(conns) {
+                    run.spawn(move || {
+                        // Driver d owns every session ≡ d (mod drivers)
+                        // and keeps all of them in flight at once,
+                        // interleaving one chunk per session per round.
+                        let drivers = DRIVERS.min(conns);
+                        let mine: Vec<u64> = (d as u64..conns as u64).step_by(drivers).collect();
+                        let mut clients: Vec<Client<TcpStream>> = mine
+                            .iter()
+                            .map(|&session| {
+                                let mut c = connect_retrying(addr);
                                 let resp = c
-                                    .request(&Request::Close { session: mine[k] })
-                                    .expect("close");
-                                let v = match resp {
-                                    Response::Verdict(v) => v,
-                                    other => panic!("close: {other:?}"),
-                                };
-                                assert_eq!(v.ingested, per_conn as u64, "events lost in flight");
-                                assert_eq!(
-                                    v.earliest_violation, oracle_earliest,
-                                    "verdict drifted"
-                                );
-                                assert_eq!(
-                                    v.violation.is_some(),
-                                    oracle_violated,
-                                    "verdict drifted"
-                                );
+                                    .request(&Request::Open {
+                                        session,
+                                        enforcing: false,
+                                        spec: SPEC.to_string(),
+                                        stream: None,
+                                    })
+                                    .expect("open");
+                                assert!(matches!(resp, Response::Ok), "open: {resp:?}");
+                                c
+                            })
+                            .collect();
+                        for at in (0..per_conn).step_by(chunk) {
+                            let slice = &events_ref[at..(at + chunk).min(per_conn)];
+                            for (k, c) in clients.iter_mut().enumerate() {
+                                c.send_batch(mine[k], slice).expect("send");
                             }
-                        });
-                    }
-                });
-                let wall = start.elapsed();
-                stop.store(true, Ordering::Relaxed);
-                wall
+                        }
+                        for (k, c) in clients.iter_mut().enumerate() {
+                            let resp = c
+                                .request(&Request::Close { session: mine[k] })
+                                .expect("close");
+                            let v = match resp {
+                                Response::Verdict(v) => v,
+                                other => panic!("close: {other:?}"),
+                            };
+                            assert_eq!(v.ingested, per_conn as u64, "events lost in flight");
+                            assert_eq!(v.earliest_violation, oracle_earliest, "verdict drifted");
+                            assert_eq!(v.violation.is_some(), oracle_violated, "verdict drifted");
+                        }
+                    });
+                }
             });
+            let wall = start.elapsed();
+            stop.store(true, Ordering::Relaxed);
+            wall
+        });
 
-            handle.stop();
-            server.shutdown();
+        handle.stop();
+        server.shutdown();
 
-            let total_events = conns * per_conn;
-            let epms = total_events as f64 / (wall.as_secs_f64() * 1e3);
-            let threads = peak_threads.load(Ordering::Relaxed);
-            let rss = peak_rss.load(Ordering::Relaxed);
-            println!(
-                "{backend_name:<10} C={conns:<5} {per_conn:>6} ev/conn   {}   ({epms:>7.0} events/ms, peak {threads} threads, {rss} kB RSS)",
-                ms(wall)
-            );
-            if conns == 1 {
-                epms_at_one.push((backend_name.clone(), epms));
-            }
-            // The reactor's headline claim: I/O threads stay bounded at
-            // C = 1024 instead of ~2·C. Everything else in the process
-            // (shards, drivers, sampler, main) is a small constant.
-            #[cfg(target_os = "linux")]
-            if conns == 1024 && backend != IoBackend::Threaded {
-                let bound = (IO_THREADS + shards + DRIVERS + 8) as u64;
-                assert!(
-                    threads <= bound,
-                    "reactor thread count {threads} exceeds bound {bound} at C=1024"
-                );
-            }
-            points.push((
-                backend_name.clone(),
-                conns,
-                per_conn,
-                wall,
-                epms,
-                threads,
-                rss,
-            ));
-        }
-    }
-
-    // Loose floor, not a race: the reactor must not be catastrophically
-    // slower than the threaded backend on a single connection.
-    if let (Some((_, t_epms)), Some((_, r_epms))) = (
-        epms_at_one.iter().find(|(n, _)| n == "threaded"),
-        epms_at_one.iter().find(|(n, _)| n.starts_with("reactor")),
-    ) {
-        println!("C=1 events/ms: threaded {t_epms:.0} vs reactor {r_epms:.0}");
-        assert!(
-            *r_epms >= 0.4 * *t_epms,
-            "reactor C=1 throughput regressed far below threaded: {r_epms:.0} vs {t_epms:.0}"
+        let total_events = conns * per_conn;
+        let epms = total_events as f64 / (wall.as_secs_f64() * 1e3);
+        let threads = peak_threads.load(Ordering::Relaxed);
+        let rss = peak_rss.load(Ordering::Relaxed);
+        println!(
+            "{backend:<10} C={conns:<5} {per_conn:>6} ev/conn   {}   ({epms:>7.0} events/ms, peak {threads} threads, {rss} kB RSS)",
+            ms(wall)
         );
+        // The reactor's headline claim: I/O threads stay bounded at
+        // C = 1024 instead of growing with C. Everything else in the
+        // process (shards, drivers, sampler, main) is a small constant.
+        if conns == 1024 {
+            let bound = (IO_THREADS + shards + DRIVERS + 8) as u64;
+            assert!(
+                threads <= bound,
+                "reactor thread count {threads} exceeds bound {bound} at C=1024"
+            );
+        }
+        points.push((conns, per_conn, wall, epms, threads, rss));
     }
 
     if let Some(dir) = json {
         let point_rows: Vec<String> = points
             .iter()
-            .map(|(backend, conns, per_conn, wall, epms, threads, rss)| {
+            .map(|(conns, per_conn, wall, epms, threads, rss)| {
                 format!(
                     "    {{ \"backend\": \"{backend}\", \"conns\": {conns}, \"events_per_conn\": {per_conn}, \"total_events\": {}, \"wall_ms\": {}, \"events_per_ms\": {epms:.1}, \"peak_threads\": {threads}, \"peak_rss_kb\": {rss} }}",
                     conns * per_conn,

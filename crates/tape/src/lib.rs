@@ -58,8 +58,8 @@ pub use format::{
     VERSION_TIMED,
 };
 pub use net::{
-    serve_tcp, serve_tcp_with, serve_unix, serve_unix_with, BatchWriter, Client, IoBackend,
-    ServeHandle, SplitStream, DEFAULT_BATCH, DEFAULT_IO_THREADS,
+    serve_tcp, serve_tcp_with, serve_unix, serve_unix_with, BatchWriter, Client, ServeHandle,
+    DEFAULT_BATCH, DEFAULT_IO_THREADS,
 };
 pub use proto::{read_frame, write_frame, FrameDecoder, ProtoError, Request, Response, Verdict};
-pub use server::{splice_state, MonitorServer, ResponseSink, ServerConfig, DEFAULT_ACK_EVERY};
+pub use server::{splice_state, MonitorServer, ServerConfig, DEFAULT_ACK_EVERY};

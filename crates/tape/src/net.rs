@@ -2,139 +2,87 @@
 //! listeners speaking the framed [`crate::proto`] protocol, plus a small
 //! blocking [`Client`] with a buffering [`BatchWriter`].
 //!
-//! Two [`IoBackend`]s turn accepted sockets into server traffic:
-//!
-//! * [`IoBackend::Threaded`] (the portable default) gives each
-//!   connection a *reader* thread that decodes request frames plus a
-//!   *writer* thread draining a per-connection outbound buffer.
-//!   Control requests (`Open`/`Swap`/`Close`) go through the
-//!   synchronous [`MonitorServer::request`] path; event frames are
-//!   posted fire-and-forget, so a producer can stream `EventBatch`
-//!   frames back-to-back while cumulative acks flow out on the writer
-//!   side. Because the shard queues are bounded, a connection whose
-//!   session floods the server blocks *in its own reader thread*,
-//!   exerting TCP/socket backpressure on that producer without
-//!   stalling other connections.
-//! * [`IoBackend::Reactor`] (Linux) multiplexes every connection over
-//!   `epoll` on a fixed pool of reactor threads — see the
-//!   `reactor` module. Same protocol, same shard workers, same
-//!   verdicts; the thread count stops scaling with the connection
-//!   count. On other platforms it falls back to `Threaded`.
-//!
-//! The default [`serve_tcp`]/[`serve_unix`] entry points pick their
-//! backend from the `MONSEM_IO_BACKEND` environment variable
-//! (`threaded` | `reactor` | `reactor:N`), which is how CI runs the
-//! whole server test suite under both backends; pass an explicit
-//! [`IoBackend`] to [`serve_tcp_with`]/[`serve_unix_with`] to pin one.
+//! A listener hands every accepted socket to a fixed pool of `epoll`
+//! reactor threads (the crate-private `reactor` module), which decode
+//! request frames, submit them to the shard workers without blocking,
+//! and write replies and coalesced per-session acks back. Thread count
+//! does not grow with the connection count. The reactor needs Linux:
+//! elsewhere [`serve_tcp`] and [`serve_unix`] return
+//! [`io::ErrorKind::Unsupported`], while [`Client`] works on any Unix.
 
 use crate::format::write_tape;
 use crate::proto::{read_frame, write_frame, Request, Response};
 #[cfg(target_os = "linux")]
-use crate::reactor::{ReactorPool, Sock};
-use crate::server::{MonitorServer, ResponseSink};
+use crate::reactor::ReactorPool;
+use crate::server::MonitorServer;
 use monsem_monitor::tape::TapeEvent;
-use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::collections::HashMap;
+use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Default [`BatchWriter`] flush threshold, in buffered events.
 pub const DEFAULT_BATCH: usize = 256;
 
-/// Default reactor thread count for [`IoBackend::Reactor`]. One thread
-/// multiplexes thousands of connections comfortably; raise it when
-/// frame decode itself becomes the bottleneck.
+/// Default reactor thread count for [`serve_tcp`] and [`serve_unix`].
+/// One thread multiplexes thousands of connections comfortably; raise
+/// it with [`serve_tcp_with`]/[`serve_unix_with`] when frame decode
+/// itself becomes the bottleneck.
 pub const DEFAULT_IO_THREADS: usize = 1;
 
-/// Outbound reply-queue depth per connection (threaded backend). Acks
-/// live outside this bound (they coalesce per session instead of
-/// queueing); errors and replies past the bound block the sender — the
-/// peer must read.
-const OUTBOUND_DEPTH: usize = 1024;
-
-/// How a listener turns accepted sockets into monitor-server traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoBackend {
-    /// Two OS threads per connection (blocking reader + writer). The
-    /// portable fallback, and the differential-test oracle the reactor
-    /// is checked against.
-    #[default]
-    Threaded,
-    /// A readiness-driven `epoll` reactor (Linux): `io_threads` reactor
-    /// threads own every socket, with interest-toggled writes and
-    /// read-parking backpressure. Falls back to [`IoBackend::Threaded`]
-    /// on other platforms.
-    Reactor {
-        /// Reactor threads the connections are distributed over.
-        io_threads: usize,
-    },
+/// A nonblocking accepted socket, TCP or Unix-domain.
+#[derive(Debug)]
+pub(crate) enum Sock {
+    /// A TCP connection.
+    Tcp(TcpStream),
+    /// A Unix-domain connection.
+    Unix(UnixStream),
 }
 
-impl IoBackend {
-    /// Reads the backend from the `MONSEM_IO_BACKEND` environment
-    /// variable (`threaded` | `reactor` | `reactor:N`); unset or
-    /// unparseable means [`IoBackend::Threaded`]. [`serve_tcp`] and
-    /// [`serve_unix`] call this, which is how a test suite written
-    /// against them runs under either backend without edits.
-    pub fn from_env() -> IoBackend {
-        std::env::var("MONSEM_IO_BACKEND")
-            .ok()
-            .and_then(|v| IoBackend::parse(&v))
-            .unwrap_or(IoBackend::Threaded)
-    }
-
-    /// Parses a backend name: `threaded`, `reactor`, or `reactor:N`
-    /// (N > 0 reactor threads).
-    pub fn parse(s: &str) -> Option<IoBackend> {
-        let s = s.trim();
-        if s.eq_ignore_ascii_case("threaded") {
-            return Some(IoBackend::Threaded);
+impl Sock {
+    pub(crate) fn fd(&self) -> RawFd {
+        match self {
+            Sock::Tcp(s) => s.as_raw_fd(),
+            Sock::Unix(s) => s.as_raw_fd(),
         }
-        if s.eq_ignore_ascii_case("reactor") {
-            return Some(IoBackend::Reactor {
-                io_threads: DEFAULT_IO_THREADS,
-            });
+    }
+
+    pub(crate) fn set_nonblocking(&self) -> io::Result<()> {
+        match self {
+            Sock::Tcp(s) => s.set_nonblocking(true),
+            Sock::Unix(s) => s.set_nonblocking(true),
         }
-        s.strip_prefix("reactor:")
-            .and_then(|n| n.parse().ok())
-            .filter(|&n| n > 0)
-            .map(|io_threads| IoBackend::Reactor { io_threads })
     }
 }
 
-/// A byte stream whose write half can be split off into an
-/// independently-owned handle, so a connection can read requests and
-/// write responses from different threads.
-pub trait SplitStream: io::Read + io::Write {
-    /// The write-half handle type.
-    type Writer: io::Write + Send + 'static;
-
-    /// Splits off a write handle to the same underlying stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the OS duplication failure.
-    fn split_writer(&self) -> io::Result<Self::Writer>;
-}
-
-impl SplitStream for TcpStream {
-    type Writer = TcpStream;
-
-    fn split_writer(&self) -> io::Result<TcpStream> {
-        self.try_clone()
+impl Read for Sock {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.read(buf),
+            Sock::Unix(s) => s.read(buf),
+        }
     }
 }
 
-impl SplitStream for UnixStream {
-    type Writer = UnixStream;
+impl Write for Sock {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Sock::Tcp(s) => s.write(buf),
+            Sock::Unix(s) => s.write(buf),
+        }
+    }
 
-    fn split_writer(&self) -> io::Result<UnixStream> {
-        self.try_clone()
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Sock::Tcp(s) => s.flush(),
+            Sock::Unix(s) => s.flush(),
+        }
     }
 }
 
@@ -163,9 +111,8 @@ pub struct ServeHandle {
     wake: WakeTarget,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    /// The reactor pool, when this listener runs [`IoBackend::Reactor`].
     #[cfg(target_os = "linux")]
-    reactor: Option<Arc<ReactorPool>>,
+    reactor: Arc<ReactorPool>,
 }
 
 impl ServeHandle {
@@ -175,10 +122,8 @@ impl ServeHandle {
         self.addr
     }
 
-    /// Stops accepting new connections and joins the accept loop (and,
-    /// on the reactor backend, the reactor threads — closing every
-    /// multiplexed connection). Threaded-backend connections finish at
-    /// their own pace.
+    /// Stops accepting new connections, then joins the accept loop and
+    /// the reactor threads, closing every connection they serve.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -190,9 +135,7 @@ impl ServeHandle {
             let _ = t.join();
         }
         #[cfg(target_os = "linux")]
-        if let Some(pool) = self.reactor.take() {
-            pool.stop();
-        }
+        self.reactor.stop();
     }
 }
 
@@ -202,252 +145,90 @@ impl Drop for ServeHandle {
     }
 }
 
-/// Outbound state for one threaded-backend connection, drained by its
-/// writer thread.
+/// The accept-and-register path both listeners share: starts
+/// `io_threads` reactor threads, then hands each accepted socket to
+/// them.
 ///
-/// Replies and errors queue FIFO in `queue`, bounded by
-/// [`OUTBOUND_DEPTH`]; a sender that hits the bound *blocks* until the
-/// writer drains — an error is never dropped because the queue was
-/// momentarily full. Cumulative acks are kept separately, coalesced per
-/// session: offering a newer `through_step` replaces a stale queued one
-/// instead of either dropping the ack or growing the queue. The writer
-/// emits pending acks before queued replies, preserving "the shard
-/// acked before it replied" order.
-struct OutState {
-    queue: VecDeque<Response>,
-    /// `(session, through_step)`, one slot per session.
-    acks: Vec<(u64, u64)>,
-    /// Reader saw EOF: drain what is queued, then exit.
-    closed: bool,
-    /// Writer exited (socket error, or drained after close): sends fail
-    /// fast instead of queueing for nobody.
-    writer_gone: bool,
-}
-
-struct ConnOutbound {
-    state: Mutex<OutState>,
-    ready: Condvar,
-}
-
-impl ConnOutbound {
-    fn new() -> ConnOutbound {
-        ConnOutbound {
-            state: Mutex::new(OutState {
-                queue: VecDeque::new(),
-                acks: Vec::new(),
-                closed: false,
-                writer_gone: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Queues a reply or error, blocking while the queue is at
-    /// capacity. Returns `false` once the writer is gone.
-    fn send(&self, resp: Response) -> bool {
-        let mut st = self.state.lock().expect("outbound lock");
-        while st.queue.len() >= OUTBOUND_DEPTH && !st.writer_gone {
-            st = self.ready.wait(st).expect("outbound lock");
-        }
-        if st.writer_gone {
-            return false;
-        }
-        st.queue.push_back(resp);
-        self.ready.notify_all();
-        true
-    }
-
-    /// Coalescing ack offer: replaces this session's queued
-    /// `through_step` if one is pending, never blocks, never drops an
-    /// accepted ack.
-    fn offer_ack(&self, session: u64, through_step: u64) -> bool {
-        let mut st = self.state.lock().expect("outbound lock");
-        if st.writer_gone {
-            return false;
-        }
-        match st.acks.iter_mut().find(|(s, _)| *s == session) {
-            Some(slot) => slot.1 = slot.1.max(through_step),
-            None => st.acks.push((session, through_step)),
-        }
-        self.ready.notify_all();
-        true
-    }
-
-    /// Reader is done; the writer drains and exits.
-    fn close(&self) {
-        self.state.lock().expect("outbound lock").closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Writer-thread body: pop acks first (ack-before-reply order),
-    /// then replies; exit once closed-and-drained or on socket error.
-    fn drain(&self, writer: &mut impl io::Write) {
-        loop {
-            let resp = {
-                let mut st = self.state.lock().expect("outbound lock");
-                loop {
-                    if !st.acks.is_empty() {
-                        let (session, through_step) = st.acks.remove(0);
-                        break Response::Ack {
-                            session,
-                            through_step,
-                        };
-                    }
-                    if let Some(resp) = st.queue.pop_front() {
-                        // A sender may be blocked on the capacity bound.
-                        self.ready.notify_all();
-                        break resp;
-                    }
-                    if st.closed {
-                        st.writer_gone = true;
-                        self.ready.notify_all();
-                        return;
-                    }
-                    st = self.ready.wait(st).expect("outbound lock");
-                }
-            };
-            if write_frame(writer, &resp.encode()).is_err() {
-                let mut st = self.state.lock().expect("outbound lock");
-                st.writer_gone = true;
-                self.ready.notify_all();
-                return;
-            }
-        }
-    }
-}
-
-/// Shard workers deliver through the connection's outbound buffer:
-/// advisory-but-coalesced acks, must-deliver (blocking) errors.
-impl ResponseSink for Arc<ConnOutbound> {
-    fn ack(&self, session: u64, through_step: u64) -> bool {
-        self.offer_ack(session, through_step)
-    }
-
-    fn send(&self, resp: Response) -> bool {
-        ConnOutbound::send(self, resp)
-    }
-}
-
-fn serve_connection<S: SplitStream>(server: &MonitorServer, mut stream: S) {
-    let Ok(mut writer) = stream.split_writer() else {
-        return;
-    };
-    let out = Arc::new(ConnOutbound::new());
-    let wout = Arc::clone(&out);
-    let writer_thread = std::thread::Builder::new()
-        .name("monsem-conn-writer".to_string())
-        .spawn(move || wout.drain(&mut writer));
-    let Ok(writer_thread) = writer_thread else {
-        return;
-    };
-    loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break, // clean EOF
-            Err(_) => break,
-        };
-        match Request::decode(&frame) {
-            // Event frames are fire-and-forget: the shard folds them
-            // and delivers cumulative acks (coalesced) or errors
-            // (blocking — never silently lost) into the outbound
-            // buffer. The reader immediately returns to the socket for
-            // the next frame.
-            Ok(req @ (Request::Events { .. } | Request::EventBatch { .. })) => {
-                if !server.post_with(req, Box::new(Arc::clone(&out)))
-                    && !out.send(Response::Err("server is shut down".to_string()))
-                {
-                    break;
-                }
-            }
-            // Control requests stay strictly request/reply. The writer
-            // emits pending acks before the queued reply, keeping the
-            // outbound frame order consistent with fold order: the
-            // shard acked before it replied.
-            Ok(req) => {
-                let resp = server.request(req);
-                if !out.send(resp) {
-                    break;
-                }
-            }
-            Err(e) => {
-                if !out.send(Response::Err(format!("bad request: {e}"))) {
-                    break;
-                }
-            }
-        }
-    }
-    out.close();
-    let _ = writer_thread.join();
-}
-
-// The listener stays in blocking mode: `accept` parks the thread until a
-// connection (or the `stop()` wakeup self-connect) arrives, so an idle
-// server costs zero wakeups. The stop flag is re-checked after every
-// accept, which is what makes the wakeup connection sufficient.
-// `on_conn` is the backend: spawn a reader/writer pair, or hand the
-// socket to a reactor.
-fn accept_loop<L, S>(
+/// The listener stays in blocking mode: `accept` parks the thread until
+/// a connection (or the `stop()` wakeup self-connect) arrives, so an
+/// idle server costs zero wakeups. The stop flag is re-checked after
+/// every accept, which is what makes the wakeup connection sufficient.
+#[cfg(target_os = "linux")]
+fn serve<L: Send + 'static>(
+    server: &Arc<MonitorServer>,
+    io_threads: usize,
     listener: L,
-    accept: impl Fn(&L) -> io::Result<S>,
-    stop: Arc<AtomicBool>,
-    on_conn: impl Fn(S),
-) where
-    S: Send + 'static,
-{
-    while !stop.load(Ordering::SeqCst) {
-        match accept(&listener) {
-            Ok(stream) => {
-                if stop.load(Ordering::SeqCst) {
-                    return; // the wakeup connection itself
-                }
-                on_conn(stream);
-            }
-            // Transient per-connection failures (e.g. the peer aborting
-            // mid-handshake) must not kill the listener.
-            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// The threaded backend's `on_conn`: one reader thread per connection
-/// (which itself spawns the writer).
-fn spawn_threaded_conn<S: SplitStream + Send + 'static>(server: &Arc<MonitorServer>, stream: S) {
-    let server = Arc::clone(server);
-    let _ = std::thread::Builder::new()
-        .name("monsem-conn".to_string())
-        .spawn(move || serve_connection(&server, stream));
-}
-
-fn spawn_accept<F: FnOnce() + Send + 'static>(f: F) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
+    accept: fn(&L) -> io::Result<Sock>,
+    addr: Option<SocketAddr>,
+    wake: WakeTarget,
+) -> io::Result<ServeHandle> {
+    let reactor = Arc::new(ReactorPool::start(server, io_threads)?);
+    let stop = Arc::new(AtomicBool::new(false));
+    let (pool, stopped) = (Arc::clone(&reactor), Arc::clone(&stop));
+    let accept_thread = std::thread::Builder::new()
         .name("monsem-accept".to_string())
-        .spawn(f)
+        .spawn(move || {
+            while !stopped.load(Ordering::SeqCst) {
+                match accept(&listener) {
+                    // The wakeup connection itself.
+                    Ok(_) if stopped.load(Ordering::SeqCst) => return,
+                    Ok(sock) => pool.register(sock),
+                    // Transient per-connection failures (e.g. the peer
+                    // aborting mid-handshake) must not kill the listener.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                        ) => {}
+                    Err(_) => return,
+                }
+            }
+        })?;
+    Ok(ServeHandle {
+        addr,
+        wake,
+        stop,
+        accept_thread: Some(accept_thread),
+        reactor,
+    })
+}
+
+#[cfg(not(target_os = "linux"))]
+fn serve<L>(
+    _: &Arc<MonitorServer>,
+    _: usize,
+    _: L,
+    _: fn(&L) -> io::Result<Sock>,
+    _: Option<SocketAddr>,
+    _: WakeTarget,
+) -> io::Result<ServeHandle> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "the monitor server's epoll reactor needs Linux",
+    ))
 }
 
 /// Serves the monitor protocol on a TCP listener bound to `addr`
 /// (use port `0` to let the OS pick; read it back from
-/// [`ServeHandle::addr`]), with the backend chosen by
-/// [`IoBackend::from_env`].
+/// [`ServeHandle::addr`]), on [`DEFAULT_IO_THREADS`] reactor threads.
 ///
 /// # Errors
 ///
-/// Propagates bind failures.
+/// Propagates bind and reactor setup failures; `Unsupported` off Linux.
 pub fn serve_tcp(server: Arc<MonitorServer>, addr: impl ToSocketAddrs) -> io::Result<ServeHandle> {
-    serve_tcp_with(server, addr, IoBackend::from_env())
+    serve_tcp_with(server, addr, DEFAULT_IO_THREADS)
 }
 
-/// [`serve_tcp`] with an explicit [`IoBackend`].
+/// [`serve_tcp`] on `io_threads` reactor threads (at least one).
 ///
 /// # Errors
 ///
-/// Propagates bind failures and (reactor backend) epoll/eventfd setup
-/// failures.
+/// Propagates bind and reactor (epoll/eventfd) setup failures;
+/// `Unsupported` off Linux.
 pub fn serve_tcp_with(
     server: Arc<MonitorServer>,
     addr: impl ToSocketAddrs,
-    backend: IoBackend,
+    io_threads: usize,
 ) -> io::Result<ServeHandle> {
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
@@ -461,43 +242,14 @@ pub fn serve_tcp_with(
         },
         bound.port(),
     );
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let mut handle = ServeHandle {
-        addr: Some(bound),
-        wake: WakeTarget::Tcp(wake_addr),
-        stop,
-        accept_thread: None,
-        #[cfg(target_os = "linux")]
-        reactor: None,
-    };
-    #[cfg(target_os = "linux")]
-    if let IoBackend::Reactor { io_threads } = backend {
-        let pool = Arc::new(ReactorPool::start(&server, io_threads)?);
-        let pool2 = Arc::clone(&pool);
-        handle.reactor = Some(pool);
-        handle.accept_thread = Some(spawn_accept(move || {
-            accept_loop(
-                listener,
-                |l| l.accept().map(|(s, _)| no_delay(s)),
-                stop2,
-                move |s| pool2.register(Sock::Tcp(s)),
-            );
-        })?);
-        return Ok(handle);
-    }
-    // Reactor falls back to Threaded off-Linux.
-    #[cfg(not(target_os = "linux"))]
-    let _ = backend;
-    handle.accept_thread = Some(spawn_accept(move || {
-        accept_loop(
-            listener,
-            |l| l.accept().map(|(s, _)| no_delay(s)),
-            stop2,
-            move |s| spawn_threaded_conn(&server, s),
-        );
-    })?);
-    Ok(handle)
+    serve(
+        &server,
+        io_threads,
+        listener,
+        |l| l.accept().map(|(s, _)| Sock::Tcp(no_delay(s))),
+        Some(bound),
+        WakeTarget::Tcp(wake_addr),
+    )
 }
 
 /// Turns off Nagle's algorithm on a protocol socket. Every frame goes
@@ -512,66 +264,38 @@ fn no_delay(s: TcpStream) -> TcpStream {
 }
 
 /// Serves the monitor protocol on a Unix-domain socket at `path`
-/// (removed first if it already exists), with the backend chosen by
-/// [`IoBackend::from_env`].
+/// (removed first if it already exists), on [`DEFAULT_IO_THREADS`]
+/// reactor threads.
 ///
 /// # Errors
 ///
-/// Propagates bind failures.
+/// Propagates bind and reactor setup failures; `Unsupported` off Linux.
 pub fn serve_unix(server: Arc<MonitorServer>, path: impl AsRef<Path>) -> io::Result<ServeHandle> {
-    serve_unix_with(server, path, IoBackend::from_env())
+    serve_unix_with(server, path, DEFAULT_IO_THREADS)
 }
 
-/// [`serve_unix`] with an explicit [`IoBackend`].
+/// [`serve_unix`] on `io_threads` reactor threads (at least one).
 ///
 /// # Errors
 ///
-/// Propagates bind failures and (reactor backend) epoll/eventfd setup
-/// failures.
+/// Propagates bind and reactor (epoll/eventfd) setup failures;
+/// `Unsupported` off Linux.
 pub fn serve_unix_with(
     server: Arc<MonitorServer>,
     path: impl AsRef<Path>,
-    backend: IoBackend,
+    io_threads: usize,
 ) -> io::Result<ServeHandle> {
     let path = path.as_ref();
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let mut handle = ServeHandle {
-        addr: None,
-        wake: WakeTarget::Unix(path.to_path_buf()),
-        stop,
-        accept_thread: None,
-        #[cfg(target_os = "linux")]
-        reactor: None,
-    };
-    #[cfg(target_os = "linux")]
-    if let IoBackend::Reactor { io_threads } = backend {
-        let pool = Arc::new(ReactorPool::start(&server, io_threads)?);
-        let pool2 = Arc::clone(&pool);
-        handle.reactor = Some(pool);
-        handle.accept_thread = Some(spawn_accept(move || {
-            accept_loop(
-                listener,
-                |l| l.accept().map(|(s, _)| s),
-                stop2,
-                move |s| pool2.register(Sock::Unix(s)),
-            );
-        })?);
-        return Ok(handle);
-    }
-    #[cfg(not(target_os = "linux"))]
-    let _ = backend;
-    handle.accept_thread = Some(spawn_accept(move || {
-        accept_loop(
-            listener,
-            |l| l.accept().map(|(s, _)| s),
-            stop2,
-            move |s| spawn_threaded_conn(&server, s),
-        );
-    })?);
-    Ok(handle)
+    serve(
+        &server,
+        io_threads,
+        listener,
+        |l| l.accept().map(|(s, _)| Sock::Unix(s)),
+        None,
+        WakeTarget::Unix(path.to_path_buf()),
+    )
 }
 
 /// A blocking protocol client over any byte stream.
@@ -1010,68 +734,6 @@ mod tests {
         assert!(v.violation.is_some());
         let acked = client.last_ack(21).expect("saw at least one ack");
         assert!(acked <= 39, "acks never exceed what was sent");
-        handle.stop();
-        server.shutdown();
-    }
-
-    #[test]
-    fn io_backend_parses_names_and_thread_counts() {
-        assert_eq!(IoBackend::parse("threaded"), Some(IoBackend::Threaded));
-        assert_eq!(IoBackend::parse(" Threaded "), Some(IoBackend::Threaded));
-        assert_eq!(
-            IoBackend::parse("reactor"),
-            Some(IoBackend::Reactor {
-                io_threads: DEFAULT_IO_THREADS
-            })
-        );
-        assert_eq!(
-            IoBackend::parse("reactor:4"),
-            Some(IoBackend::Reactor { io_threads: 4 })
-        );
-        assert_eq!(IoBackend::parse("reactor:0"), None, "zero threads");
-        assert_eq!(IoBackend::parse("epoll"), None);
-        assert_eq!(IoBackend::parse(""), None);
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn reactor_backend_round_trips_the_same_protocol() {
-        use monsem_core::Value;
-        use monsem_syntax::Annotation;
-
-        let server = Arc::new(MonitorServer::start(ServerConfig {
-            ack_every: 8,
-            ..ServerConfig::default()
-        }));
-        let handle = serve_tcp_with(
-            Arc::clone(&server),
-            "127.0.0.1:0",
-            IoBackend::Reactor { io_threads: 2 },
-        )
-        .expect("bind");
-        let addr = handle.addr().expect("tcp addr");
-        let mut client = Client::connect_tcp(addr).expect("connect");
-        client
-            .open(31, "always(post(p) => value >= 0)", false)
-            .expect("open");
-        let ann = Annotation::label("p");
-        for chunk in 0..5u64 {
-            let events: Vec<_> = (0..8)
-                .map(|i| {
-                    let step = chunk * 8 + i;
-                    let v = if step == 33 { -1 } else { 1 };
-                    TapeEvent::post(&ann, &Value::Int(v), step)
-                })
-                .collect();
-            client.send_batch(31, &events).expect("send");
-        }
-        let v = match client.close(31).expect("close") {
-            Response::Verdict(v) => v,
-            other => panic!("expected verdict, got {other:?}"),
-        };
-        assert_eq!(v.ingested, 40);
-        assert_eq!(v.earliest_violation, Some(33));
-        assert!(client.last_ack(31).is_some(), "acks flowed out");
         handle.stop();
         server.shutdown();
     }

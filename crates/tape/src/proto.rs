@@ -127,9 +127,10 @@ pub enum Response {
     Verdict(Verdict),
     /// A cumulative acknowledgement on the fire-and-forget event path:
     /// every event with step ≤ `through_step` has been folded into the
-    /// session's monitor. Acks are advisory (the server drops them
-    /// rather than stall a shard when the client is not reading);
-    /// [`Request::Close`]'s verdict is the authoritative barrier.
+    /// session's monitor. Acks are advisory (while the client is not
+    /// reading, a connection keeps only each session's latest ack
+    /// rather than stall a shard); [`Request::Close`]'s verdict is the
+    /// authoritative barrier.
     Ack {
         /// The session this ack describes.
         session: u64,

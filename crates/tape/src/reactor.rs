@@ -1,46 +1,46 @@
-//! A readiness-driven I/O backend for the monitor server.
+//! The monitor server's I/O: every connection multiplexed over `epoll`.
 //!
-//! The threaded backend in [`crate::net`] spends two OS threads per
-//! connection (a blocking reader plus a writer draining the outbound
-//! queue). That is simple and portable, but it caps a server at a few
-//! thousand sockets and makes thread count — not monitor throughput —
-//! the scaling limit. This module multiplexes every connection over
-//! `epoll` instead: `io_threads` reactor threads (usually one) own all
-//! sockets, and each connection is a small nonblocking state machine:
+//! `io_threads` reactor threads (usually one) own all sockets, and each
+//! connection is a small nonblocking state machine:
 //!
 //! * **Incremental decode** — bytes arrive in whatever dribbles the
 //!   kernel delivers and feed a [`FrameDecoder`]; a frame is acted on
 //!   the moment its last byte lands.
-//! * **Interest-toggling writes** — responses are serialized into a
-//!   bounded per-connection write buffer; `EPOLLOUT` interest is only
-//!   registered while unsent bytes exist, so an idle connection costs
-//!   zero wakeups and a slow reader backpressures into its own socket
-//!   instead of dropping acks or errors.
+//! * **Interest-toggling writes** — replies and errors are serialized
+//!   into a bounded per-connection write buffer; `EPOLLOUT` interest is
+//!   only registered while unsent bytes exist, so an idle connection
+//!   costs zero wakeups and a slow reader backpressures into its own
+//!   socket instead of dropping errors.
+//! * **Coalesced acks** — a connection keeps one pending cumulative ack
+//!   per session and writes the pending acks only once the socket has
+//!   taken everything before them (and always ahead of a reply). A
+//!   producer that reads nothing until `Close` therefore costs
+//!   O(sessions) bytes of acks, not O(events), and never stops the
+//!   reactor reading its batches.
 //! * **Read parking** — when a session's shard queue is full, the
 //!   decoded job is *parked* on the connection and `EPOLLIN` interest
 //!   is dropped. The kernel socket buffer then fills and the producer
 //!   feels real TCP backpressure, all without blocking the reactor
 //!   thread (which keeps serving every other connection).
 //!
-//! Shard workers and the `Session` fold are untouched: the reactor
-//! swaps how bytes reach [`MonitorServer::try_submit`], not what the
-//! monitor does with them, so verdict semantics carry over from the
-//! threaded backend by construction. Control requests ride the
-//! [`Reply::Routed`] path — their replies come back through the same
-//! injection queue the acks use, woken by an `eventfd`.
+//! Shard workers and the `Session` fold are the ones in-process callers
+//! use: the reactor decides how bytes reach
+//! [`MonitorServer::try_submit`], not what the monitor does with them.
+//! Control requests ride the routed reply path — their replies come
+//! back through the same injection queue the acks use, woken by an
+//! `eventfd`.
 //!
 //! The `sys` submodule is the only unsafe code in the crate: direct
 //! `extern "C"` declarations for `epoll_create1`/`epoll_ctl`/
 //! `epoll_wait`/`eventfd` (std already links libc; no new dependency),
 //! wrapped in RAII types so every fd is closed exactly once.
 
+use crate::net::Sock;
 use crate::proto::{FrameDecoder, Request, Response};
 use crate::server::{Job, MonitorServer, Reply, ResponseSink, SubmitError};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::os::fd::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
+use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -212,61 +212,13 @@ impl Drop for EventFd {
     }
 }
 
-/// A nonblocking accepted socket, TCP or Unix-domain.
-#[derive(Debug)]
-pub(crate) enum Sock {
-    /// A TCP connection.
-    Tcp(TcpStream),
-    /// A Unix-domain connection.
-    Unix(UnixStream),
-}
-
-impl Sock {
-    fn fd(&self) -> RawFd {
-        match self {
-            Sock::Tcp(s) => s.as_raw_fd(),
-            Sock::Unix(s) => s.as_raw_fd(),
-        }
-    }
-
-    fn set_nonblocking(&self) -> io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.set_nonblocking(true),
-            Sock::Unix(s) => s.set_nonblocking(true),
-        }
-    }
-}
-
-impl Read for Sock {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            Sock::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            Sock::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.flush(),
-            Sock::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// Token identifying the reactor's own eventfd in the wait set.
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Read-interest is parked once this many unsent response bytes pile up
-/// on one connection; the peer must drain replies before sending more.
+/// Read-interest is parked once this many unsent bytes pile up on one
+/// connection; the peer must drain replies before sending more. Only
+/// replies and errors (with the acks written ahead of them) count: acks
+/// on their own wait in per-session slots while the socket is full.
 const SOFT_WBUF_CAP: usize = 256 * 1024;
 
 /// A connection whose write buffer grows past this is declared dead:
@@ -282,8 +234,8 @@ struct Injected {
     conns: Vec<(u64, Sock)>,
     /// `(token, response, is_control_reply)`.
     responses: Vec<(u64, Response, bool)>,
-    /// Cumulative acks coalesced per `(token, session)`: a stale queued
-    /// `through_step` is replaced by a newer one, never dropped.
+    /// `(token, session, through_step)`, merged into the connection's
+    /// ack slots on the reactor thread.
     acks: Vec<(u64, u64, u64)>,
     stop: bool,
 }
@@ -332,16 +284,8 @@ struct ReactorSink {
 impl ResponseSink for ReactorSink {
     fn ack(&self, session: u64, through_step: u64) -> bool {
         let token = self.token;
-        self.shared.inject(|inj| {
-            match inj
-                .acks
-                .iter_mut()
-                .find(|(t, s, _)| *t == token && *s == session)
-            {
-                Some(slot) => slot.2 = slot.2.max(through_step),
-                None => inj.acks.push((token, session, through_step)),
-            }
-        });
+        self.shared
+            .inject(|inj| inj.acks.push((token, session, through_step)));
         true
     }
 
@@ -368,6 +312,10 @@ struct Conn {
     /// `wstart` is the sent prefix.
     wbuf: Vec<u8>,
     wstart: usize,
+    /// Pending cumulative acks, one `(session, through_step)` slot per
+    /// session. They enter `wbuf` only once it is empty or ahead of a
+    /// reply, so a peer that reads nothing holds O(sessions) of them.
+    acks: Vec<(u64, u64)>,
     /// The socket refused the last write (`EAGAIN`): further writes wait
     /// for `EPOLLOUT` instead of failing once per loop turn against a
     /// peer that is not reading.
@@ -389,6 +337,7 @@ impl Conn {
             decoder: FrameDecoder::new(),
             wbuf: Vec::new(),
             wstart: 0,
+            acks: Vec::new(),
             wblocked: false,
             interest: 0,
             parked: None,
@@ -402,21 +351,50 @@ impl Conn {
         self.wbuf.len() - self.wstart
     }
 
-    /// Appends one response frame to the write buffer. The hard cap
+    /// Keeps `through_step` as `session`'s pending ack, merged with one
+    /// already pending: cumulative acks make the older one redundant.
+    fn offer_ack(&mut self, session: u64, through_step: u64) {
+        match self.acks.iter_mut().find(|(s, _)| *s == session) {
+            Some(slot) => slot.1 = slot.1.max(through_step),
+            None => self.acks.push((session, through_step)),
+        }
+    }
+
+    /// Appends one reply or error frame to the write buffer, behind the
+    /// pending acks: the shard acked before it replied. The hard cap
     /// catches a peer that stopped reading entirely.
     fn queue_response(&mut self, resp: &Response) {
-        let payload = resp.encode();
-        self.wbuf
-            .extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        self.wbuf.extend_from_slice(&payload);
+        self.queue_acks();
+        push_frame(&mut self.wbuf, resp);
         if self.unsent() > HARD_WBUF_CAP {
             self.dead = true;
         }
     }
 
-    /// Writes as much of the buffer as the socket will take.
+    fn queue_acks(&mut self) {
+        for (session, through_step) in self.acks.drain(..) {
+            push_frame(
+                &mut self.wbuf,
+                &Response::Ack {
+                    session,
+                    through_step,
+                },
+            );
+        }
+    }
+
+    /// Writes as much as the socket will take; once it has taken
+    /// everything queued, the pending acks follow.
     fn flush(&mut self) {
-        while self.wstart < self.wbuf.len() {
+        loop {
+            if self.unsent() == 0 {
+                self.wbuf.clear();
+                self.wstart = 0;
+                if self.acks.is_empty() {
+                    return;
+                }
+                self.queue_acks();
+            }
             match self.sock.write(&self.wbuf[self.wstart..]) {
                 Ok(0) => {
                     self.dead = true;
@@ -434,10 +412,7 @@ impl Conn {
                 }
             }
         }
-        if self.wstart == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wstart = 0;
-        } else if self.wstart > 64 * 1024 {
+        if self.wstart > 64 * 1024 {
             self.wbuf.drain(..self.wstart);
             self.wstart = 0;
         }
@@ -445,7 +420,7 @@ impl Conn {
 
     /// The interest mask this connection wants right now: `EPOLLIN`
     /// unless parked / read-saturated / at EOF, `EPOLLOUT` only while
-    /// unsent bytes exist.
+    /// unsent bytes exist (acks are pending only while they do).
     fn wanted_interest(&self) -> u32 {
         let mut want = sys::EPOLLRDHUP;
         if self.parked.is_none() && !self.eof && self.unsent() < SOFT_WBUF_CAP {
@@ -458,10 +433,21 @@ impl Conn {
     }
 
     /// A connection retires once the peer is done sending, nothing is
-    /// parked or in flight, and every queued response byte is out.
+    /// parked or in flight, and every queued response and ack is out.
     fn retired(&self) -> bool {
-        self.eof && self.parked.is_none() && self.control_inflight == 0 && self.unsent() == 0
+        self.eof
+            && self.parked.is_none()
+            && self.control_inflight == 0
+            && self.unsent() == 0
+            && self.acks.is_empty()
     }
+}
+
+/// Appends `resp` as one length-prefixed frame.
+fn push_frame(wbuf: &mut Vec<u8>, resp: &Response) {
+    let payload = resp.encode();
+    wbuf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    wbuf.extend_from_slice(&payload);
 }
 
 /// Re-registers `conn`'s interest with epoll if it changed. An `EMFILE`
@@ -587,8 +573,8 @@ fn read_ready(
     }
     if conn.eof && conn.parked.is_none() {
         // Whatever complete frames arrived before EOF were processed
-        // above; a partial trailing frame is an unclean close, dropped
-        // exactly as the threaded reader drops it.
+        // above; a partial trailing frame is an unclean close and is
+        // dropped.
         process_frames(conn, server, shared, token);
     }
 }
@@ -601,7 +587,8 @@ fn reactor_loop(epoll: Epoll, shared: Arc<Shared>, server: Arc<MonitorServer>) {
     let mut scratch = vec![0u8; 64 * 1024];
     loop {
         // 1. Apply injected work. Acks before responses: within one
-        // batch this preserves "the shard acked before it replied".
+        // batch this preserves "the shard acked before it replied", and
+        // a queued response writes the pending acks ahead of itself.
         let injected = {
             let mut inj = shared.injected.lock().expect("reactor injection lock");
             std::mem::take(&mut *inj)
@@ -622,10 +609,7 @@ fn reactor_loop(epoll: Epoll, shared: Arc<Shared>, server: Arc<MonitorServer>) {
         }
         for (token, session, through_step) in injected.acks {
             if let Some(conn) = conns.get_mut(&token) {
-                conn.queue_response(&Response::Ack {
-                    session,
-                    through_step,
-                });
+                conn.offer_ack(session, through_step);
             }
         }
         for (token, resp, control) in injected.responses {
@@ -659,10 +643,11 @@ fn reactor_loop(epoll: Epoll, shared: Arc<Shared>, server: Arc<MonitorServer>) {
             }
         }
 
-        // 3. Flush, resync interest, and reap finished connections.
+        // 3. Flush (pending acks included), resync interest, and reap
+        // finished connections.
         let mut reap: Vec<u64> = Vec::new();
         for (token, conn) in conns.iter_mut() {
-            if conn.unsent() > 0 && !conn.wblocked {
+            if !conn.wblocked {
                 conn.flush();
             }
             if conn.dead || conn.retired() {

@@ -102,20 +102,21 @@ impl Default for ServerConfig {
 /// Where a shard delivers fire-and-forget outcomes: cumulative acks and
 /// errors for posted event frames, and (on the `Reply::Routed` path)
 /// control replies that must travel back to a connection the worker
-/// cannot block on.
+/// cannot block on. The implementations are [`MonitorServer::post`]'s
+/// channel and the reactor's per-connection sink.
 ///
 /// The two delivery guarantees differ deliberately:
 ///
-/// * [`ResponseSink::ack`] is *advisory* — a sink may coalesce a stale
-///   queued ack into a newer `through_step`, or decline outright
-///   (return `false`) when its queue is full. The worker only advances
-///   its ack watermark when the sink accepted, so a declined ack is
-///   retried at the next boundary, never lost silently forever.
-/// * [`ResponseSink::send`] is *must-deliver*: errors and routed control
-///   replies either reach the peer or the sink reports the connection
-///   dead (`false`). Dropping them on queue pressure is not an option —
-///   that was the silent-`Response::Err`-loss bug.
-pub trait ResponseSink: Send {
+/// * `ack` is *advisory* — a sink may coalesce a stale pending ack into
+///   a newer `through_step`, or decline outright (return `false`) when
+///   its queue is full. The worker only advances its ack watermark when
+///   the sink accepted, so a declined ack is retried at the next
+///   boundary, never lost silently forever.
+/// * `send` is *must-deliver*: errors and routed control replies either
+///   reach the peer or the sink reports the connection dead (`false`).
+///   Dropping them on queue pressure is not an option — that was the
+///   silent-`Response::Err`-loss bug.
+pub(crate) trait ResponseSink: Send {
     /// Offers a cumulative ack. Returns `true` if the sink took
     /// responsibility for (eventually) delivering an ack at least this
     /// new.
@@ -148,9 +149,10 @@ impl ResponseSink for SyncSender<Response> {
 pub(crate) enum Reply {
     /// Strict request/reply: the caller blocks on this one-shot channel.
     Sync(SyncSender<Response>),
-    /// Fire-and-forget event path: the sink is the connection's
-    /// outbound queue. Acks are offered per [`ResponseSink::ack`];
-    /// errors go through the must-deliver [`ResponseSink::send`].
+    /// Fire-and-forget event path: the sink is the poster's channel or
+    /// the connection's reactor. Acks are offered per
+    /// [`ResponseSink::ack`]; errors go through the must-deliver
+    /// [`ResponseSink::send`].
     Acked(Box<dyn ResponseSink>),
     /// A control request whose reply is delivered through the sink
     /// instead of a blocking one-shot channel — the reactor's
@@ -181,8 +183,8 @@ pub(crate) enum SubmitError {
 /// Share it behind an [`std::sync::Arc`] — every method takes `&self`.
 /// The in-process entry points are [`MonitorServer::request`]
 /// (synchronous) and [`MonitorServer::post`] (fire-and-forget with
-/// cumulative acks); the socket front ends in [`crate::net`] decode
-/// frames into the same calls.
+/// cumulative acks); the socket front ends in [`crate::net`] submit the
+/// same jobs without blocking.
 #[derive(Debug)]
 pub struct MonitorServer {
     /// Immutable after construction: routing is an index + send, with
@@ -738,10 +740,10 @@ impl MonitorServer {
 
     /// Enqueues an event request fire-and-forget: no per-message reply
     /// is produced. The shard folds the events and offers a cumulative
-    /// [`Response::Ack`] into `out` — the connection's outbound frame
-    /// queue — every [`ServerConfig::ack_every`] ingested events
-    /// (advisory `try_send`; see [`ResponseSink::ack`]). Errors are
-    /// must-deliver: they block on a full queue rather than vanish.
+    /// [`Response::Ack`] into `out` every [`ServerConfig::ack_every`]
+    /// ingested events (advisory `try_send`: a full channel declines
+    /// the ack, and a later boundary offers it again). Errors are
+    /// must-deliver: they block on a full channel rather than vanish.
     /// Returns `false` if the server is shut down (nothing was
     /// enqueued).
     ///
@@ -751,15 +753,8 @@ impl MonitorServer {
     /// discards its non-error reply). Blocks while the shard queue is
     /// full, like [`MonitorServer::request`].
     pub fn post(&self, req: Request, out: SyncSender<Response>) -> bool {
-        self.post_with(req, Box::new(out))
-    }
-
-    /// [`MonitorServer::post`] generalized over the outcome sink: the
-    /// socket front ends pass their per-connection outbound buffers
-    /// here instead of a channel.
-    pub fn post_with(&self, req: Request, sink: Box<dyn ResponseSink>) -> bool {
         match self.route(req_session(&req)) {
-            Some(tx) => tx.send(Job::Req(req, Reply::Acked(sink))).is_ok(),
+            Some(tx) => tx.send(Job::Req(req, Reply::Acked(Box::new(out)))).is_ok(),
             None => false,
         }
     }

@@ -78,7 +78,7 @@ fn usage() -> String {
      monsem specialize (-e <src> | <file>) [--input name=int]…\n  \
      monsem record     (-e <src> | <file>) --out <tape.bin> [--spec <spec|file>] [--timed] [--checkpoint-every N]\n  \
      monsem check      <tape.bin> [<spec|file>] [--stream <spec|file>] [--enforcing] [--from N]\n  \
-     monsem serve      (--tcp <addr> | --unix <path>) [--shards N] [--queue N] [--window N] [--ack-every N] [--checkpoint-every N] [--policy fatal|quarantine] [--io-backend threaded|reactor] [--io-threads N]\n  \
+     monsem serve      (--tcp <addr> | --unix <path>) [--shards N] [--queue N] [--window N] [--ack-every N] [--checkpoint-every N] [--policy fatal|quarantine] [--io-threads N]\n  \
      monsem swap       (--tcp <addr> | --unix <path>) --session <id> [<spec|file>] [--stream <spec|file>]"
         .to_string()
 }
@@ -385,7 +385,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use monitoring_semantics::monitor::fault::FaultPolicy;
     use monitoring_semantics::tape::{
-        serve_tcp_with, serve_unix_with, IoBackend, MonitorServer, ServerConfig, DEFAULT_IO_THREADS,
+        serve_tcp_with, serve_unix_with, MonitorServer, ServerConfig, DEFAULT_IO_THREADS,
     };
     use std::sync::Arc;
     let parse = |name: &str, default: usize| -> Result<usize, String> {
@@ -408,41 +408,36 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         },
         ..defaults
     };
-    // Flag beats MONSEM_IO_BACKEND beats the threaded default;
-    // --io-threads refines either reactor spelling.
-    let mut backend = match flag_value(args, "--io-backend") {
-        Some(name) => {
-            IoBackend::parse(name).ok_or_else(|| format!("unknown io backend `{name}`"))?
-        }
-        None => IoBackend::from_env(),
-    };
-    if let Some(n) = flag_value(args, "--io-threads") {
-        let io_threads: usize = n
+    // The epoll reactor is the only I/O backend; `--io-backend reactor`
+    // is still accepted so existing invocations keep working.
+    if let Some(name) = flag_value(args, "--io-backend").filter(|&name| name != "reactor") {
+        return Err(format!(
+            "unknown io backend `{name}`: the threaded backend and the `reactor:N` spelling \
+             were removed; `monsem serve` always runs the epoll reactor (size it with --io-threads)"
+        ));
+    }
+    let io_threads = match flag_value(args, "--io-threads") {
+        Some(n) => n
             .parse()
             .ok()
             .filter(|&n| n > 0)
-            .ok_or("--io-threads needs a positive integer")?;
-        backend = match backend {
-            IoBackend::Threaded => IoBackend::Reactor { io_threads },
-            IoBackend::Reactor { .. } => IoBackend::Reactor { io_threads },
-        };
-    }
+            .ok_or("--io-threads needs a positive integer")?,
+        None => DEFAULT_IO_THREADS,
+    };
     let server = Arc::new(MonitorServer::start(config));
     let handle = match (flag_value(args, "--tcp"), flag_value(args, "--unix")) {
         (Some(addr), None) => {
-            serve_tcp_with(Arc::clone(&server), addr, backend).map_err(|e| e.to_string())?
+            serve_tcp_with(Arc::clone(&server), addr, io_threads).map_err(|e| e.to_string())?
         }
         (None, Some(path)) => {
-            serve_unix_with(Arc::clone(&server), path, backend).map_err(|e| e.to_string())?
+            serve_unix_with(Arc::clone(&server), path, io_threads).map_err(|e| e.to_string())?
         }
         _ => return Err("serve needs exactly one of --tcp <addr> or --unix <path>".to_string()),
     };
-    let backend_name = match backend {
-        IoBackend::Threaded => "threaded".to_string(),
-        IoBackend::Reactor { io_threads } if io_threads == DEFAULT_IO_THREADS => {
-            "reactor".to_string()
-        }
-        IoBackend::Reactor { io_threads } => format!("reactor:{io_threads}"),
+    let backend_name = if io_threads == DEFAULT_IO_THREADS {
+        "reactor".to_string()
+    } else {
+        format!("reactor:{io_threads}")
     };
     match handle.addr() {
         Some(addr) => eprintln!("; monitor server listening on tcp {addr} ({backend_name} io)"),

@@ -130,9 +130,21 @@ fn repl_session_end_to_end() {
     assert!(stdout.contains("bye"), "{stdout}");
 }
 
-/// `monsem serve --io-backend reactor` comes up, names its backend in
-/// the listen banner, serves a real session over TCP, and drains
-/// cleanly on `stop`.
+/// `monsem serve --io-backend threaded` is refused, and the error says
+/// that backend was removed: the epoll reactor is the only one.
+#[test]
+fn serve_refuses_the_removed_threaded_backend() {
+    let (_, stderr, ok) = monsem(&["serve", "--tcp", "127.0.0.1:0", "--io-backend", "threaded"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("threaded") && stderr.contains("removed"),
+        "{stderr}"
+    );
+}
+
+/// `monsem serve --io-backend reactor` (the old spelling of the only
+/// backend) comes up, names the reactor in the listen banner, serves a
+/// real session over TCP, and drains cleanly on `stop`.
 #[cfg(target_os = "linux")]
 #[test]
 fn serve_reactor_backend_smoke() {

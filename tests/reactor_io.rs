@@ -1,14 +1,10 @@
-//! PR 10: the readiness-driven I/O reactor, differentially tested
-//! against the threaded backend.
-//!
-//! Four concerns, each a satellite of the reactor tentpole:
+//! The server's epoll reactor over real sockets, with every close
+//! verdict checked against the offline oracle.
 //!
 //! * **Byte dribbles** — frames split at arbitrary byte boundaries must
 //!   decode identically whether they arrive whole or one byte at a
 //!   time, both through [`FrameDecoder`] directly (proptest over random
-//!   frame contents and chunk sizes) and over a real socket against
-//!   both backends, with close verdicts checked against the offline
-//!   oracle.
+//!   frame contents and chunk sizes) and over a real socket.
 //! * **Fd hygiene** — N connect/disconnect cycles leave the
 //!   `/proc/self/fd` count where it started: no leaked sockets, dup'd
 //!   reader handles, epoll instances, or eventfds.
@@ -18,11 +14,16 @@
 //! * **Parking backpressure** — depth-1 shard queues under concurrent
 //!   producers force the reactor to park read interest; verdicts must
 //!   still match the oracle exactly (no dropped or reordered frames).
+//! * **Unread acks** — a producer that reads nothing until it closes
+//!   never stalls the reactor: acks wait, one per session, until the
+//!   socket takes them.
 
 #![cfg(target_os = "linux")]
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,19 +31,18 @@ use monitoring_semantics::core::Value;
 use monitoring_semantics::monitor::TapeEvent;
 use monitoring_semantics::syntax::Annotation;
 use monitoring_semantics::tape::{
-    read_frame, serve_tcp_with, write_frame, Client, FrameDecoder, IoBackend, MonitorServer,
-    Request, Response, ServerConfig, Verdict,
+    read_frame, serve_tcp_with, serve_unix, write_frame, Client, FrameDecoder, MonitorServer,
+    Request, Response, ServeHandle, ServerConfig, Verdict,
 };
 use monitoring_semantics::tspec::{SpecMonitor, TapeOutcome};
 use proptest::prelude::*;
 
 const SPEC: &str = "never(post(_) and value < 0)";
 
-fn both_backends() -> [(&'static str, IoBackend); 2] {
-    [
-        ("threaded", IoBackend::Threaded),
-        ("reactor", IoBackend::Reactor { io_threads: 2 }),
-    ]
+/// Serves `server` over TCP on two reactor threads: the default is one,
+/// and dispatch across several must stay covered.
+fn serve(server: &Arc<MonitorServer>) -> ServeHandle {
+    serve_tcp_with(Arc::clone(server), "127.0.0.1:0", 2).expect("bind")
 }
 
 fn post(v: i64, step: u64) -> TapeEvent {
@@ -133,64 +133,62 @@ fn next_response(sock: &mut TcpStream) -> Response {
 }
 
 /// Byte-dribbled frames over a real socket reach the same close verdict
-/// as the offline oracle, on both backends.
+/// as the offline oracle.
 #[test]
-fn socket_dribbles_reach_oracle_verdicts_on_both_backends() {
-    for (name, backend) in both_backends() {
-        let server = Arc::new(MonitorServer::start(ServerConfig::default()));
-        let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", backend).expect("bind");
-        let addr = handle.addr().expect("tcp listener has an address");
+fn socket_dribbles_reach_oracle_verdicts() {
+    let server = Arc::new(MonitorServer::start(ServerConfig::default()));
+    let handle = serve(&server);
+    let addr = handle.addr().expect("tcp listener has an address");
 
-        let mut sock = TcpStream::connect(addr).unwrap();
-        sock.set_nodelay(true).ok();
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.set_nodelay(true).ok();
 
-        let events = tape(25, &[17]);
-        let (want_accept, want_earliest) = oracle(&events);
+    let events = tape(25, &[17]);
+    let (want_accept, want_earliest) = oracle(&events);
 
+    dribble_frame(
+        &mut sock,
+        &Request::Open {
+            session: 5,
+            enforcing: false,
+            spec: SPEC.to_string(),
+            stream: None,
+        }
+        .encode(),
+    );
+    match next_response(&mut sock) {
+        Response::Ok => {}
+        other => panic!("open failed: {other:?}"),
+    }
+
+    // Events flow through the fire-and-forget path, one dribbled frame
+    // per small chunk, so a frame routinely straddles reads.
+    for chunk in events.chunks(4) {
         dribble_frame(
             &mut sock,
-            &Request::Open {
+            &Request::Events {
                 session: 5,
-                enforcing: false,
-                spec: SPEC.to_string(),
-                stream: None,
+                events: chunk.to_vec(),
             }
             .encode(),
         );
-        match next_response(&mut sock) {
-            Response::Ok => {}
-            other => panic!("{name}: open failed: {other:?}"),
-        }
-
-        // Events flow through the fire-and-forget path, one dribbled
-        // frame per small chunk, so a frame routinely straddles reads.
-        for chunk in events.chunks(4) {
-            dribble_frame(
-                &mut sock,
-                &Request::Events {
-                    session: 5,
-                    events: chunk.to_vec(),
-                }
-                .encode(),
-            );
-        }
-        dribble_frame(&mut sock, &Request::Close { session: 5 }.encode());
-
-        let v = loop {
-            match next_response(&mut sock) {
-                Response::Ack { .. } => continue,
-                Response::Verdict(v) => break v,
-                other => panic!("{name}: unexpected response {other:?}"),
-            }
-        };
-        assert_eq!(v.ingested, events.len() as u64, "{name}: ingested");
-        assert_eq!(v.accepted, Some(want_accept), "{name}: accepted");
-        assert_eq!(v.earliest_violation, want_earliest, "{name}: earliest");
-
-        drop(sock);
-        handle.stop();
-        server.shutdown();
     }
+    dribble_frame(&mut sock, &Request::Close { session: 5 }.encode());
+
+    let v = loop {
+        match next_response(&mut sock) {
+            Response::Ack { .. } => continue,
+            Response::Verdict(v) => break v,
+            other => panic!("unexpected response {other:?}"),
+        }
+    };
+    assert_eq!(v.ingested, events.len() as u64, "ingested");
+    assert_eq!(v.accepted, Some(want_accept), "accepted");
+    assert_eq!(v.earliest_violation, want_earliest, "earliest");
+
+    drop(sock);
+    handle.stop();
+    server.shutdown();
 }
 
 fn fd_count() -> usize {
@@ -198,8 +196,8 @@ fn fd_count() -> usize {
 }
 
 /// Waits for the fd count to settle at or below `target` (connection
-/// teardown is asynchronous on the threaded backend: the reader thread
-/// has to notice EOF before the dup'd handle closes).
+/// teardown is asynchronous: the reactor has to notice EOF before it
+/// closes the socket).
 fn settle_fds(target: usize) -> usize {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -212,43 +210,41 @@ fn settle_fds(target: usize) -> usize {
 }
 
 /// N connect/run/disconnect cycles leave `/proc/self/fd` exactly where
-/// it started, on both backends — and tearing the server down releases
-/// the listener, epoll, and eventfd descriptors too.
+/// it started — and tearing the server down releases the listener,
+/// epoll, and eventfd descriptors too.
 #[test]
 fn connect_disconnect_cycles_leak_no_fds() {
     let before_servers = fd_count();
-    for (name, backend) in both_backends() {
-        let server = Arc::new(MonitorServer::start(ServerConfig::default()));
-        let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", backend).expect("bind");
-        let addr = handle.addr().unwrap();
+    let server = Arc::new(MonitorServer::start(ServerConfig::default()));
+    let handle = serve(&server);
+    let addr = handle.addr().unwrap();
 
-        // Baseline after the server is up: listener + any reactor
-        // epoll/eventfd descriptors are part of the steady state.
-        let baseline = fd_count();
+    // Baseline after the server is up: the listener and the reactors'
+    // epoll/eventfd descriptors are part of the steady state.
+    let baseline = fd_count();
 
-        for i in 0..24u64 {
-            let mut client = Client::connect_tcp(addr).unwrap();
-            let events = tape(8, &[]);
-            let (want_accept, _) = oracle(&events);
-            match client.open(i, SPEC, false).unwrap() {
-                Response::Ok => {}
-                other => panic!("{name}: open failed: {other:?}"),
-            }
-            client.send_batch(i, &events).unwrap();
-            let v = verdict(client.close(i).unwrap());
-            assert_eq!(v.accepted, Some(want_accept), "{name}: cycle {i}");
-            drop(client);
+    for i in 0..24u64 {
+        let mut client = Client::connect_tcp(addr).unwrap();
+        let events = tape(8, &[]);
+        let (want_accept, _) = oracle(&events);
+        match client.open(i, SPEC, false).unwrap() {
+            Response::Ok => {}
+            other => panic!("open failed: {other:?}"),
         }
-
-        let settled = settle_fds(baseline);
-        assert!(
-            settled <= baseline,
-            "{name}: leaked fds: {settled} open after cycles vs baseline {baseline}"
-        );
-
-        handle.stop();
-        server.shutdown();
+        client.send_batch(i, &events).unwrap();
+        let v = verdict(client.close(i).unwrap());
+        assert_eq!(v.accepted, Some(want_accept), "cycle {i}");
+        drop(client);
     }
+
+    let settled = settle_fds(baseline);
+    assert!(
+        settled <= baseline,
+        "leaked fds: {settled} open after cycles vs baseline {baseline}"
+    );
+
+    handle.stop();
+    server.shutdown();
     let settled = settle_fds(before_servers);
     assert!(
         settled <= before_servers,
@@ -301,12 +297,7 @@ fn broken_connection_errors_next_call_and_stays_failed() {
 #[test]
 fn reactor_stop_surfaces_as_client_io_error() {
     let server = Arc::new(MonitorServer::start(ServerConfig::default()));
-    let handle = serve_tcp_with(
-        Arc::clone(&server),
-        "127.0.0.1:0",
-        IoBackend::Reactor { io_threads: 1 },
-    )
-    .expect("bind");
+    let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", 1).expect("bind");
     let addr = handle.addr().unwrap();
 
     let mut client = Client::connect_tcp(addr).unwrap();
@@ -341,12 +332,7 @@ fn reactor_parks_full_queues_without_losing_frames() {
         ack_every: 4,
         ..ServerConfig::default()
     }));
-    let handle = serve_tcp_with(
-        Arc::clone(&server),
-        "127.0.0.1:0",
-        IoBackend::Reactor { io_threads: 1 },
-    )
-    .expect("bind");
+    let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", 1).expect("bind");
     let addr = handle.addr().unwrap();
 
     let producers: Vec<_> = (0..8u64)
@@ -383,78 +369,117 @@ fn reactor_parks_full_queues_without_losing_frames() {
 }
 
 /// Request round trips over TCP answer in well under the peer's
-/// delayed-ACK timer (40 ms on Linux) on both backends, also a close
-/// right after fire-and-forget batches. A frame written as a separate
+/// delayed-ACK timer (40 ms on Linux), also a close right after
+/// fire-and-forget batches. A frame written as a separate
 /// length prefix and payload left the payload queued behind Nagle's
 /// algorithm until that timer fired, so every request took 40–90 ms;
 /// with whole-frame writes but Nagle on, a close still waited behind
 /// the unacknowledged batches.
 #[test]
 fn tcp_round_trips_do_not_wait_for_delayed_acks() {
-    for (name, backend) in both_backends() {
-        let server = Arc::new(MonitorServer::start(ServerConfig::default()));
-        let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", backend).expect("bind");
-        let mut client = Client::connect_tcp(handle.addr().unwrap()).unwrap();
-        let events = tape(64, &[]);
-        let mut times = Vec::new();
-        for i in 0..20u64 {
-            let t = Instant::now();
-            match client.open(i, SPEC, false).unwrap() {
-                Response::Ok => {}
-                other => panic!("{name}: open failed: {other:?}"),
-            }
-            times.push(t.elapsed());
-            for chunk in events.chunks(16) {
-                client.send_batch(i, chunk).unwrap();
-            }
-            let t = Instant::now();
-            verdict(client.close(i).unwrap());
-            times.push(t.elapsed());
+    let server = Arc::new(MonitorServer::start(ServerConfig::default()));
+    let handle = serve(&server);
+    let mut client = Client::connect_tcp(handle.addr().unwrap()).unwrap();
+    let events = tape(64, &[]);
+    let mut times = Vec::new();
+    for i in 0..20u64 {
+        let t = Instant::now();
+        match client.open(i, SPEC, false).unwrap() {
+            Response::Ok => {}
+            other => panic!("open failed: {other:?}"),
         }
-        times.sort();
-        let median = times[times.len() / 2];
-        assert!(
-            median < Duration::from_millis(20),
-            "{name}: median request round trip {median:?}"
-        );
-        handle.stop();
-        server.shutdown();
+        times.push(t.elapsed());
+        for chunk in events.chunks(16) {
+            client.send_batch(i, chunk).unwrap();
+        }
+        let t = Instant::now();
+        verdict(client.close(i).unwrap());
+        times.push(t.elapsed());
     }
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median request round trip {median:?}"
+    );
+    handle.stop();
+    server.shutdown();
 }
 
-/// A producer that reads no acks until it closes: the acks pile up
-/// until the reactor's socket refuses more, the reactor stops retrying
-/// the write until the socket reports writable, and the close still
-/// gets every ack and then the verdict once the producer reads.
+/// A producer that reads nothing until it closes: 1 000 sessions on one
+/// connection, an ack after every event, and 100 rounds of one-event
+/// batches to every session. The reactor keeps one pending ack per
+/// session while the socket refuses writes, so the unread acks stay
+/// O(sessions) bytes and it keeps reading the batches. A frame per ack
+/// would reach the write buffer's soft cap after some tens of thousands
+/// of batches; the reactor would stop reading, and producer and reactor
+/// would each wait for the other. The producer runs on its own thread,
+/// so such a stall fails at the bound instead of hanging. Every close
+/// still answers, after the acks written ahead of it.
 #[test]
 fn unread_acks_wait_for_writability_and_the_close_still_answers() {
+    const SESSIONS: u64 = 1000;
+    const ROUNDS: u64 = 100;
     let server = Arc::new(MonitorServer::start(ServerConfig {
         ack_every: 1,
         ..ServerConfig::default()
     }));
     let path = std::env::temp_dir().join(format!("monsem-unread-acks-{}.sock", std::process::id()));
-    let handle = monitoring_semantics::tape::serve_unix_with(
-        Arc::clone(&server),
-        &path,
-        IoBackend::Reactor { io_threads: 1 },
-    )
-    .expect("bind unix socket");
+    let handle = serve_unix(Arc::clone(&server), &path).expect("bind unix socket");
     let mut client = Client::connect_unix(&path).unwrap();
-    match client.open(1, SPEC, false).unwrap() {
-        Response::Ok => {}
-        other => panic!("open failed: {other:?}"),
+    let sent = Arc::new(AtomicU64::new(0));
+    let (done_tx, done) = mpsc::channel();
+    let producer = std::thread::spawn({
+        let sent = Arc::clone(&sent);
+        move || {
+            let tapes: Vec<Vec<TapeEvent>> = (0..SESSIONS)
+                .map(|i| {
+                    let violate: &[u64] = if i % 2 == 1 { &[i % (ROUNDS - 1)] } else { &[] };
+                    tape(ROUNDS - 1, violate)
+                })
+                .collect();
+            for i in 0..SESSIONS {
+                match client.open(i, SPEC, false).unwrap() {
+                    Response::Ok => {}
+                    other => panic!("open {i} failed: {other:?}"),
+                }
+            }
+            for round in 0..ROUNDS as usize {
+                for (i, t) in (0..SESSIONS).zip(&tapes) {
+                    client.send_batch(i, &t[round..=round]).unwrap();
+                    sent.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            for (i, t) in (0..SESSIONS).zip(&tapes) {
+                let v = verdict(client.close(i).unwrap());
+                let (want_accept, want_earliest) = oracle(t);
+                assert_eq!(v.ingested, t.len() as u64, "session {i}: ingested");
+                assert_eq!(v.accepted, Some(want_accept), "session {i}: accepted");
+                assert_eq!(v.earliest_violation, want_earliest, "session {i}: earliest");
+                let last_step = t[t.len() - 1].step;
+                let acked = client.last_ack(i).expect("acks reach the client");
+                assert!(
+                    acked <= last_step,
+                    "session {i}: ack {acked} past step {last_step}"
+                );
+            }
+            let _ = done_tx.send(());
+        }
+    });
+    match done.recv_timeout(Duration::from_secs(60)) {
+        Ok(()) => producer.join().unwrap(),
+        // The producer panicked: surface its message.
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = producer.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => panic!(
+            "the producer stalled after {} of {} batches",
+            sent.load(Ordering::Relaxed),
+            SESSIONS * ROUNDS
+        ),
     }
-    // One ack per event: thousands of small ack frames, far more than
-    // a Unix socket buffers for a peer that is not reading.
-    let events = tape(3000, &[1234]);
-    let (want_accept, want_earliest) = oracle(&events);
-    for ev in &events {
-        client.send_batch(1, std::slice::from_ref(ev)).unwrap();
-    }
-    let v = verdict(client.close(1).unwrap());
-    assert_eq!(v.ingested, events.len() as u64);
-    assert_eq!(v.accepted, Some(want_accept));
-    assert_eq!(v.earliest_violation, want_earliest);
     handle.stop();
     server.shutdown();
     let _ = std::fs::remove_file(&path);
