@@ -900,17 +900,22 @@ fn parallel(json: Option<&Path>) {
 /// produced them — the point of checking tapes instead of re-executing.
 fn tape(json: Option<&Path>) {
     use monsem_monitor::{record_monitored_with, MemorySink, SharedSink};
-    use monsem_tape::{read_tape, write_tape, MonitorServer, ServerConfig};
+    use monsem_stream::{StreamMonitor, StreamResolution};
+    use monsem_tape::{read_tape, write_tape, MonitorServer, ServerConfig, ViewDecoder};
     use monsem_tspec::SpecMonitor;
     header(
         "Event tapes: record / serialize / offline-check / server ingest, labelled_countdown(2000)\n\
          expectation: recording within a small factor of the live run; offline check\n\
-         and server ingest orders of magnitude faster than re-execution",
+         and server ingest orders of magnitude faster than re-execution; the view\n\
+         check (what `monsem check --stream` runs) within a small factor of the owned one",
     );
     const SPEC: &str = "always(post(B) => value >= 0)";
+    const STREAM: &str =
+        "stream calls = count(post(B)) over window(64)\ntrigger busy = calls >= 64";
     let program = labelled_countdown(2000);
     let opts = EvalOptions::default();
     let monitor = SpecMonitor::new("safety", SPEC).unwrap();
+    let stream = StreamMonitor::new("slo", STREAM).unwrap();
 
     let t_live = measure(
         || {
@@ -967,6 +972,42 @@ fn tape(json: Option<&Path>) {
         WARMUP,
         RUNS,
     );
+    let t_stream_check = measure(
+        || {
+            std::hint::black_box(stream.check_tape(&events));
+        },
+        WARMUP,
+        RUNS,
+    );
+    // Both specs from the tape's bytes: the owned path decodes into
+    // `TapeEvent`s and runs both `check_tape`s; the view path (what
+    // `monsem check <tape> <spec> --stream <spec>` runs) decodes views
+    // once and folds both specs over them.
+    let t_owned_check = measure(
+        || {
+            let events = read_tape(&bytes).unwrap();
+            std::hint::black_box((monitor.check_tape(&events), stream.check_tape(&events)));
+        },
+        WARMUP,
+        RUNS,
+    );
+    let mut decoder = ViewDecoder::new();
+    let t_view_check = measure(
+        || {
+            let tape = decoder.decode(&bytes).unwrap();
+            let mut fold = monitor.check_fold(monitor.initial_state());
+            monitor.check_views(&mut fold, tape.events(), &tape);
+            let mut state = stream.initial_state();
+            let mut res = StreamResolution::default();
+            let completed = stream.check_views(&mut state, tape.events(), &tape, &mut res);
+            std::hint::black_box((
+                monitor.check_result(fold),
+                stream.check_result(state, completed),
+            ));
+        },
+        WARMUP,
+        RUNS,
+    );
     // Server ingest: one full session lifecycle — open, stream in
     // chunks through the sharded bounded queues, close. Includes the
     // per-request round-trips, i.e. what a producer actually pays.
@@ -1014,6 +1055,22 @@ fn tape(json: Option<&Path>) {
         per_ms(t_check)
     );
     println!(
+        "offline stream check            {}   ({:>8.0} events/ms)",
+        ms(t_stream_check),
+        per_ms(t_stream_check)
+    );
+    println!(
+        "both checks, owned (read_tape)  {}   ({:>8.0} events/ms)",
+        ms(t_owned_check),
+        per_ms(t_owned_check)
+    );
+    println!(
+        "both checks, views (`check`)    {}   ({:>8.0} events/ms, owned/view {:.2}x)",
+        ms(t_view_check),
+        per_ms(t_view_check),
+        t_owned_check.as_secs_f64() / t_view_check.as_secs_f64()
+    );
+    println!(
         "server ingest (chunks of {CHUNK})    {}   ({:>8.0} events/ms)",
         ms(t_ingest),
         per_ms(t_ingest)
@@ -1035,6 +1092,12 @@ fn tape(json: Option<&Path>) {
                \"decode_ms\": {},\n  \
                \"check_ms\": {},\n  \
                \"check_events_per_ms\": {:.1},\n  \
+               \"stream_spec\": \"{}\",\n  \
+               \"stream_check_ms\": {},\n  \
+               \"owned_check_ms\": {},\n  \
+               \"view_check_ms\": {},\n  \
+               \"view_check_events_per_ms\": {:.1},\n  \
+               \"owned_over_view\": {:.2},\n  \
                \"server_ingest_ms\": {},\n  \
                \"server_events_per_ms\": {:.1}\n}}\n",
             json_ms(t_live),
@@ -1043,6 +1106,12 @@ fn tape(json: Option<&Path>) {
             json_ms(t_decode),
             json_ms(t_check),
             per_ms(t_check),
+            STREAM.replace('\n', "\\n"),
+            json_ms(t_stream_check),
+            json_ms(t_owned_check),
+            json_ms(t_view_check),
+            per_ms(t_view_check),
+            t_owned_check.as_secs_f64() / t_view_check.as_secs_f64(),
             json_ms(t_ingest),
             per_ms(t_ingest),
         );

@@ -151,6 +151,12 @@ const SCHEMAS: &[(&str, &str, &[&str])] = &[
             "\"decode_ms\"",
             "\"check_ms\"",
             "\"check_events_per_ms\"",
+            "\"stream_spec\"",
+            "\"stream_check_ms\"",
+            "\"owned_check_ms\"",
+            "\"view_check_ms\"",
+            "\"view_check_events_per_ms\"",
+            "\"owned_over_view\"",
             "\"server_ingest_ms\"",
             "\"server_events_per_ms\"",
         ],

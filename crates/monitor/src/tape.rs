@@ -231,15 +231,56 @@ pub enum FoldEnd {
     Abort(usize),
 }
 
+/// Whether `a` and `b` spell the same text, comparing lengths before
+/// bytes. Two empty strings are equal without a byte compare: an empty
+/// `String`'s pointer is dangling, and a zero-length `memcmp` on such a
+/// pointer can cost a hundred times one on mapped memory. Every per-event
+/// text compare on the tape paths goes through here.
+#[inline]
+pub fn same_text(a: &str, b: &str) -> bool {
+    a.len() == b.len() && (a.is_empty() || a.as_bytes() == b.as_bytes())
+}
+
+/// FNV-1a over `bytes`: the tape's one string hash (the digest tapes
+/// name specs by, and the key of [`OwnedViews`]' string index).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Slots of an [`OwnedViews`] string index before its first growth.
+const INDEX_MIN_SLOTS: usize = 16;
+
+/// Slots an [`OwnedViews`] index probe visits at most. The index keys
+/// text that can come from outside the program (a server's per-event
+/// requests), so names crafted to collide must not make interning
+/// quadratic: text whose probe runs longer gets an unindexed id.
+const INDEX_MAX_PROBES: usize = 16;
+
 /// Views over owned [`TapeEvent`]s: the adapter that lets a `&TapeEvent`
 /// path (an in-memory tape, a [`TapeSink`] recording, a per-event
-/// request) run the same view fold as a decoded tape. Each event
-/// contributes its own three strings, so building the views copies no
-/// text; the buffers are reused across [`OwnedViews::clear`].
+/// request) run the same view fold as a decoded tape. Building the views
+/// copies no text.
+///
+/// Equal namespace or name text gets one id per run, as on a decoded
+/// tape, so a fold resolves each distinct string once per run rather
+/// than once per event. The index is a small open-addressing table keyed
+/// by [`fnv1a`] that doubles at half load; a probe is bounded, so text
+/// crafted to collide costs extra ids, never quadratic time. Displays
+/// keep an id per event: they are only rendered. The buffers, index
+/// included, are reused across [`OwnedViews::clear`].
 #[derive(Debug, Default)]
 pub struct OwnedViews<'a> {
     strings: Vec<&'a str>,
     views: Vec<EventView>,
+    /// Open-addressing index over the interned namespaces and names: a
+    /// string id per slot, [`NO_STRING`] for an empty slot.
+    index: Vec<u32>,
+    interned: usize,
 }
 
 impl<'a> OwnedViews<'a> {
@@ -259,23 +300,20 @@ impl<'a> OwnedViews<'a> {
 
     /// Appends one event.
     pub fn push(&mut self, ev: &'a TapeEvent) {
-        let id = |strings: &mut Vec<&'a str>, s: &'a str| {
-            strings.push(s);
-            (strings.len() - 1) as u32
-        };
         let (namespace, name) = match ev.phase {
             TapePhase::Done => (NO_STRING, NO_STRING),
-            _ => (
-                id(&mut self.strings, &ev.namespace),
-                id(&mut self.strings, &ev.name),
-            ),
+            _ => (self.intern(&ev.namespace), self.intern(&ev.name)),
         };
         let value = ev.value.as_ref().filter(|_| ev.phase == TapePhase::Post);
+        let display = value.map_or(NO_STRING, |d| {
+            self.strings.push(&d.display);
+            (self.strings.len() - 1) as u32
+        });
         self.views.push(EventView {
             phase: ev.phase,
             namespace,
             name,
-            display: value.map_or(NO_STRING, |d| id(&mut self.strings, &d.display)),
+            display,
             int: value.and_then(|d| d.int),
             unsorted: value.is_some_and(|d| d.unsorted),
             step: ev.step,
@@ -293,10 +331,61 @@ impl<'a> OwnedViews<'a> {
         self.views.is_empty()
     }
 
+    /// The id of `s` in this run: the id equal text got before, or a new
+    /// one.
+    fn intern(&mut self, s: &'a str) -> u32 {
+        if 2 * (self.interned + 1) > self.index.len() {
+            self.grow();
+        }
+        let slot = match self.find(s) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let id = self.strings.len() as u32;
+        self.strings.push(s);
+        if let Some(slot) = slot {
+            self.index[slot] = id;
+            self.interned += 1;
+        }
+        id
+    }
+
+    /// Looks `s` up in the index: its id, or else the empty slot it would
+    /// take (`None` when the probe ran past [`INDEX_MAX_PROBES`]).
+    fn find(&self, s: &str) -> Result<u32, Option<usize>> {
+        let mask = self.index.len() - 1;
+        let mut slot = fnv1a(s.as_bytes()) as usize & mask;
+        for _ in 0..INDEX_MAX_PROBES {
+            match self.index[slot] {
+                NO_STRING => return Err(Some(slot)),
+                id if same_text(self.strings[id as usize], s) => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        Err(None)
+    }
+
+    /// Doubles the index (or allocates its first slots) and re-places
+    /// every interned id.
+    fn grow(&mut self) {
+        let slots = (2 * self.index.len()).max(INDEX_MIN_SLOTS);
+        let old = std::mem::replace(&mut self.index, vec![NO_STRING; slots]);
+        self.interned = 0;
+        for id in old.into_iter().filter(|&id| id != NO_STRING) {
+            // Indexed texts are distinct, so the probe only finds a slot.
+            if let Err(Some(slot)) = self.find(self.strings[id as usize]) {
+                self.index[slot] = id;
+                self.interned += 1;
+            }
+        }
+    }
+
     /// Drops the events, keeping the buffers.
     pub fn clear(&mut self) {
         self.strings.clear();
         self.views.clear();
+        self.index.fill(NO_STRING);
+        self.interned = 0;
     }
 
     /// The views, in event order.
@@ -685,6 +774,115 @@ mod tests {
         let desc = ValueDesc::of(&long);
         assert_eq!(desc.display.chars().count(), 40);
         assert!(desc.display.ends_with("..."));
+    }
+
+    #[test]
+    fn owned_views_give_equal_text_one_id_per_run() {
+        let x = Annotation::label("x");
+        let y = Annotation::label("y").in_namespace(monsem_syntax::Namespace::new("x"));
+        let events = vec![
+            TapeEvent::post(&x, &Value::Int(1), 0),
+            TapeEvent::post(&y, &Value::Int(1), 1),
+            TapeEvent::pre(&x, 2),
+            TapeEvent::done(3),
+        ];
+        let mut views = OwnedViews::of(&events);
+        let v = views.views().to_vec();
+        let text = |id| Strings::get(&views, id).to_string();
+        // `""` (x's namespace) and `"x"` (y's namespace, and x's name)
+        // are distinct texts; each keeps one id across events.
+        assert_eq!(
+            (text(v[0].namespace), text(v[1].namespace)),
+            ("".into(), "x".into())
+        );
+        assert_ne!(v[0].namespace, v[1].namespace);
+        assert_eq!(v[0].namespace, v[2].namespace);
+        assert_eq!(v[0].name, v[2].name);
+        assert_eq!(
+            v[0].name, v[1].namespace,
+            "a name and a namespace of equal text"
+        );
+        // Equal displays are not shared, nor do they share an interned id.
+        assert_ne!(v[0].display, v[1].display);
+        assert_eq!(
+            (text(v[0].display), text(v[1].display)),
+            ("1".into(), "1".into())
+        );
+        assert_ne!(v[0].display, v[0].name);
+        assert_eq!(
+            (v[3].namespace, v[3].name, v[3].display),
+            (NO_STRING, NO_STRING, NO_STRING)
+        );
+        assert_eq!(v[2].display, NO_STRING);
+
+        // `clear` restarts the ids: the same events view identically.
+        views.clear();
+        for ev in &events {
+            views.push(ev);
+        }
+        assert_eq!(views.views(), &v[..]);
+
+        // Many distinct names grow the index several times; every name
+        // keeps its first id.
+        let anns: Vec<Annotation> = (0..200)
+            .map(|i| Annotation::label(format!("n{i}")))
+            .collect();
+        let many: Vec<TapeEvent> = (0..2)
+            .flat_map(|_| anns.iter().map(|a| TapeEvent::pre(a, 0)))
+            .collect();
+        let views = OwnedViews::of(&many);
+        let (first, again) = views.views().split_at(anns.len());
+        assert!(first.iter().zip(again).all(|(a, b)| a.name == b.name));
+        assert!(first.iter().all(|v| v.namespace == first[0].namespace));
+        let mut names: Vec<u32> = first.iter().map(|v| v.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), anns.len(), "distinct names keep distinct ids");
+    }
+
+    #[test]
+    fn colliding_text_costs_ids_not_probes() {
+        // Names whose FNV-1a hashes agree in their low 12 bits share a
+        // home slot in every index the run grows to.
+        let home = |n: &str| fnv1a(n.as_bytes()) & 0xfff;
+        let names: Vec<String> = (0u32..)
+            .map(|i| format!("c{i}"))
+            .filter(|n| home(n) == home("c0"))
+            .take(2 * INDEX_MAX_PROBES)
+            .collect();
+        let anns: Vec<Annotation> = names
+            .iter()
+            .map(|n| Annotation::label(n.as_str()))
+            .collect();
+        let events: Vec<TapeEvent> = anns
+            .iter()
+            .chain(&anns)
+            .map(|a| TapeEvent::pre(a, 0))
+            .collect();
+        let views = OwnedViews::of(&events);
+        for (v, name) in views.views().iter().zip(names.iter().cycle()) {
+            assert_eq!(Strings::get(&views, v.name), name);
+        }
+        let (first, again) = views.views().split_at(names.len());
+        let shared = first
+            .iter()
+            .zip(again)
+            .filter(|(a, b)| a.name == b.name)
+            .count();
+        assert!(
+            (1..names.len()).contains(&shared),
+            "names past the probe bound get fresh ids: {shared} of {} shared",
+            names.len()
+        );
+    }
+
+    #[test]
+    fn same_text_compares_lengths_first() {
+        let empty = String::new();
+        assert!(same_text("", &empty));
+        assert!(same_text("ns", "ns"));
+        assert!(!same_text("", "x"));
+        assert!(!same_text("ab", "ac"));
     }
 
     #[test]

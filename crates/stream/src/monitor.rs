@@ -29,7 +29,8 @@ use crate::eval::{
 };
 use monsem_core::Value;
 use monsem_monitor::tape::{
-    fold_owned, value_is_unsorted, EventView, FoldEnd, Strings, TapeEvent, TapePhase, NO_STRING,
+    fold_owned, same_text, value_is_unsorted, EventView, FoldEnd, Strings, TapeEvent, TapePhase,
+    NO_STRING,
 };
 use monsem_monitor::{HookPhase, MergeMonitor, Monitor, Outcome, Scope};
 use monsem_syntax::{Annotation, Expr, Ident, Namespace};
@@ -477,7 +478,7 @@ impl StreamMonitor {
     /// [`TapePhase::Done`] (handled by [`StreamMonitor::check_tape`] via
     /// [`StreamMonitor::finish`]) leave the state untouched.
     pub fn advance_tape_event(&self, state: StreamState, ev: &TapeEvent) -> Outcome<StreamState> {
-        if ev.namespace != self.namespace.as_str() {
+        if !same_text(&ev.namespace, self.namespace.as_str()) {
             return Outcome::Continue(state);
         }
         if ev.phase == TapePhase::Done {
@@ -643,7 +644,7 @@ impl StreamResolution {
             self.ours.resize(i + 1, 0);
         }
         if self.ours[i] == 0 {
-            self.ours[i] = if strings.get(id) == m.namespace.as_str() {
+            self.ours[i] = if same_text(strings.get(id), m.namespace.as_str()) {
                 1
             } else {
                 2

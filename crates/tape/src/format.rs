@@ -56,7 +56,7 @@
 
 use crate::wire::{put_ivarint, put_str, put_uvarint, ByteReader, WireError};
 use monsem_monitor::tape::{
-    EventView, Strings, TapeEvent, TapePhase, TapeSink, ValueDesc, NO_STRING,
+    fnv1a, EventView, Strings, TapeEvent, TapePhase, TapeSink, ValueDesc, NO_STRING,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -89,12 +89,7 @@ const CKPT_STREAM: u8 = 0x02;
 /// guards against *mistakes* (checking a tape's checkpoints against the
 /// wrong spec), not adversaries.
 pub fn digest64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(bytes)
 }
 
 /// A folded-prefix summary embedded in a v3 tape: everything a checker
@@ -180,6 +175,10 @@ impl From<WireError> for TapeError {
 pub struct TapeWriter<W: Write> {
     out: W,
     strings: HashMap<String, u64>,
+    /// The id of `""`, once interned: answered without a hash lookup,
+    /// whose compare of two empty strings is a zero-length `memcmp` on a
+    /// dangling pointer (see [`monsem_monitor::tape::same_text`]).
+    empty: Option<u64>,
     buf: Vec<u8>,
     error: Option<io::Error>,
     timed: bool,
@@ -213,6 +212,7 @@ impl<W: Write> TapeWriter<W> {
         let mut w = TapeWriter {
             out,
             strings: HashMap::new(),
+            empty: None,
             buf: Vec::new(),
             error: None,
             timed,
@@ -274,11 +274,19 @@ impl<W: Write> TapeWriter<W> {
     }
 
     fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&id) = self.strings.get(s) {
+        let known = if s.is_empty() {
+            self.empty
+        } else {
+            self.strings.get(s).copied()
+        };
+        if let Some(id) = known {
             return id;
         }
         let id = self.strings.len() as u64;
         self.strings.insert(s.to_string(), id);
+        if s.is_empty() {
+            self.empty = Some(id);
+        }
         self.buf.push(TAG_STR);
         put_str(&mut self.buf, s);
         id
@@ -699,6 +707,46 @@ mod tests {
         let payload = &bytes[6..];
         let occurrences = payload.windows(3).filter(|w| *w == b"fac").count();
         assert_eq!(occurrences, 1);
+    }
+
+    /// The writer's bytes for a fixed event list, pinned: the empty
+    /// namespace first appears after a non-empty one, and a valueless
+    /// `post` interns the empty display, so the cached `""` id must be
+    /// the one the `STR` record assigned.
+    #[test]
+    fn empty_strings_intern_to_pinned_bytes() {
+        use monsem_syntax::Namespace;
+        let a = Annotation::label("a").in_namespace(Namespace::new("ns"));
+        let b = Annotation::label("b");
+        let events = vec![
+            TapeEvent::pre(&a, 0),
+            TapeEvent::post(&a, &Value::Int(7), 1),
+            TapeEvent::pre(&b, 2),
+            TapeEvent::post(&b, &Value::Int(-1), 3),
+            TapeEvent {
+                phase: TapePhase::Post,
+                value: None,
+                ..TapeEvent::pre(&a, 4)
+            },
+            TapeEvent::pre(&b, 5),
+            TapeEvent::done(6),
+        ];
+        let bytes = write_tape(&events);
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            b'M', b'T', b'A', b'P', 1, 0,
+            TAG_STR, 2, b'n', b's', TAG_STR, 1, b'a', TAG_PRE, 0, 1, 0,
+            TAG_STR, 1, b'7', TAG_POST, 0, 1, 1, FLAG_INT, 14, 2,
+            TAG_STR, 0, TAG_STR, 1, b'b', TAG_PRE, 3, 4, 2,
+            TAG_STR, 2, b'-', b'1', TAG_POST, 3, 4, 3, FLAG_INT, 1, 5,
+            TAG_POST, 0, 1, 4, 0, 3,
+            TAG_PRE, 3, 4, 5,
+            TAG_DONE, 6,
+        ];
+        assert_eq!(bytes, golden);
+        let mut expected = events;
+        expected[4].value = Some(ValueDesc::default());
+        assert_eq!(read_tape(&bytes).unwrap(), expected);
     }
 
     #[test]

@@ -20,7 +20,8 @@ use crate::automaton::Automaton;
 use crate::{Spec, SpecError};
 use monsem_core::Value;
 use monsem_monitor::tape::{
-    fold_owned, short_display, EventView, FoldEnd, Strings, TapeEvent, TapePhase, NO_STRING,
+    fold_owned, same_text, short_display, EventView, FoldEnd, Strings, TapeEvent, TapePhase,
+    NO_STRING,
 };
 use monsem_monitor::{HookPhase, MergeMonitor, Monitor, Outcome, Scope};
 use monsem_syntax::{Annotation, Expr, Namespace};
@@ -349,7 +350,7 @@ impl SpecResolution {
             self.ours.resize(i + 1, 0);
         }
         if self.ours[i] == 0 {
-            self.ours[i] = if strings.get(id) == m.namespace.as_str() {
+            self.ours[i] = if same_text(strings.get(id), m.namespace.as_str()) {
                 1
             } else {
                 2
@@ -691,7 +692,7 @@ impl SpecMonitor {
     ///
     /// This is the one-event case of [`SpecMonitor::fold_view`].
     pub fn advance_tape_event(&self, mut state: SpecState, ev: &TapeEvent) -> Outcome<SpecState> {
-        if ev.phase == TapePhase::Done || ev.namespace != self.namespace.as_str() {
+        if ev.phase == TapePhase::Done || !same_text(&ev.namespace, self.namespace.as_str()) {
             return Outcome::Continue(state);
         }
         let views = OwnedEvent::of(ev);

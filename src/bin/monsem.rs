@@ -271,9 +271,10 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    use monitoring_semantics::stream::StreamMonitor;
-    use monitoring_semantics::tape::{check_stream_from, check_tape_from, read_tape};
+    use monitoring_semantics::stream::{StreamMonitor, StreamResolution};
+    use monitoring_semantics::tape::{check_stream_from, check_tape_from, ViewDecoder};
     use monitoring_semantics::tspec::{SpecMonitor, TapeOutcome};
+    use monitoring_semantics::Monitor;
     let stream_arg = flag_value(args, "--stream");
     let from: Option<u64> = flag_value(args, "--from")
         .map(|v| v.parse().map_err(|_| "--from needs an event offset"))
@@ -293,7 +294,10 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         _ => return Err("check needs <tape.bin> and a <spec|file> and/or --stream".to_string()),
     };
     let bytes = std::fs::read(tape_path).map_err(|e| format!("cannot read `{tape_path}`: {e}"))?;
-    let events = read_tape(&bytes).map_err(|e| e.to_string())?;
+    // One decode into views serves both specs; `--from` checks seek
+    // their own checkpoints.
+    let mut decoder = ViewDecoder::new();
+    let tape = decoder.decode(&bytes).map_err(|e| e.to_string())?;
     let mut code = ExitCode::SUCCESS;
     if let Some(spec_arg) = spec_arg {
         let src = load_spec(spec_arg)?;
@@ -310,11 +314,15 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
                     "; resumed at event {} ({} of {} replayed)",
                     seeded.resumed_at,
                     seeded.replayed,
-                    events.len()
+                    seeded.resumed_at + seeded.replayed
                 );
                 seeded.check
             }
-            None => monitor.check_tape(events.iter()),
+            None => {
+                let mut fold = monitor.check_fold(monitor.initial_state());
+                monitor.check_views(&mut fold, tape.events(), &tape);
+                monitor.check_result(fold)
+            }
         };
         match &check.outcome {
             TapeOutcome::Satisfied => {
@@ -349,11 +357,16 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
                     "; resumed at event {} ({} of {} replayed)",
                     seeded.resumed_at,
                     seeded.replayed,
-                    events.len()
+                    seeded.resumed_at + seeded.replayed
                 );
                 seeded.check
             }
-            None => monitor.check_tape(events.iter()),
+            None => {
+                let mut state = monitor.initial_state();
+                let mut res = StreamResolution::default();
+                let completed = monitor.check_views(&mut state, tape.events(), &tape, &mut res);
+                monitor.check_result(state, completed)
+            }
         };
         for f in &check.firings {
             match f.step {

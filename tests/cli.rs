@@ -130,6 +130,71 @@ fn repl_session_end_to_end() {
     assert!(stdout.contains("bye"), "{stdout}");
 }
 
+/// `monsem check <tape> <spec> --stream <spec>` on a recorded violating
+/// tape prints exactly the verdict and firing lines the library's owned
+/// `check_tape`s conclude, exits 1, and prints the same under `--from 0`.
+#[test]
+fn check_prints_the_owned_checks_verdict_and_firings() {
+    use monitoring_semantics::stream::StreamMonitor;
+    use monitoring_semantics::tape::read_tape;
+    use monitoring_semantics::tspec::{SpecMonitor, TapeOutcome};
+
+    const SPEC: &str = "never(post(_) and value < 0)";
+    const STREAM: &str = "stream neg = count(post(_) and value < 0) over window(4)\n\
+                          trigger bad = neg >= 1\n\
+                          trigger busy = neg >= 2";
+    let tape = std::env::temp_dir().join(format!("monsem-cli-check-{}.tape", std::process::id()));
+    let tape_arg = tape.to_str().unwrap();
+    let (_, stderr, ok) = monsem(&[
+        "record",
+        "-e",
+        "{a}:1 + {b}:(0 - 2) + {c}:3 + {b}:(0 - 4) + {d}:(0 - 5)",
+        "--out",
+        tape_arg,
+        "--spec",
+        SPEC,
+        "--checkpoint-every",
+        "3",
+    ]);
+    assert!(ok, "{stderr}");
+    let check = |from: Option<&str>| {
+        let mut args = vec!["check", tape_arg, SPEC, "--stream", STREAM];
+        args.extend(from.map(|n| ["--from", n]).into_iter().flatten());
+        let out = Command::new(env!("CARGO_BIN_EXE_monsem"))
+            .args(&args)
+            .output()
+            .expect("monsem runs");
+        assert_eq!(out.status.code(), Some(1), "a violated tape exits 1");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (full, from_zero) = (check(None), check(Some("0")));
+
+    let events = read_tape(&std::fs::read(&tape).unwrap()).unwrap();
+    std::fs::remove_file(&tape).unwrap();
+    let safety = SpecMonitor::new("check", SPEC).unwrap().check_tape(&events);
+    let mut expected = match (&safety.outcome, safety.earliest_violation) {
+        (TapeOutcome::Violated(reason), Some(step)) => {
+            format!("violated at step {step}: {reason}\n")
+        }
+        other => panic!("the tape violates the spec mid-trace: {other:?}"),
+    };
+    let stream = StreamMonitor::new("check-stream", STREAM)
+        .unwrap()
+        .check_tape(&events);
+    assert!(stream.firings.len() >= 2, "{stream:?}");
+    for f in &stream.firings {
+        let step = f.step.expect("a tape firing carries its step");
+        expected += &format!("step {step}: {}\n", f.reason);
+    }
+    assert!(stream.completed && stream.missed == 0);
+    expected += &format!(
+        "stream: {} firing(s), 0 deadline miss(es) over {} events\n",
+        stream.fired_total, stream.state.events
+    );
+    assert_eq!(full, expected);
+    assert_eq!(from_zero, full, "--from 0 replays the whole tape");
+}
+
 /// `monsem serve --io-backend threaded` is refused, and the error says
 /// that backend was removed: the epoll reactor is the only one.
 #[test]

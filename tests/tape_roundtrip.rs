@@ -16,6 +16,10 @@
 //!    for a *different* spec equals folding that spec's
 //!    `advance_tape_event` over the same replayed prefix (the server's
 //!    swap semantics, checked against first principles).
+//!
+//! Properties 4–5 pin the timed format (v2); property 6 checks that the
+//! owned-event adapters, which intern each run's strings, reach exactly
+//! the view fold's verdicts over the decoded tape.
 
 use monitoring_semantics::core::machine::EvalOptions;
 use monitoring_semantics::core::{Env, EvalError};
@@ -321,4 +325,130 @@ fn earliest_violation_names_the_offending_step() {
     assert_eq!(offending.name, "b");
     assert!(matches!(offending.phase, TapePhase::Post));
     assert!(matches!(check.outcome, TapeOutcome::Violated(_)));
+}
+
+/// Names the interning proptest draws from: enough that one run of
+/// owned views (256 events) interns dozens of distinct names, growing
+/// its string index several times from its initial slots.
+const NAME_POOL: u64 = 160;
+
+/// A random event list over namespaces `""` and `"ns"` and names
+/// `n0..n159`: pre and post events with small (often negative) integer,
+/// boolean and list values, optionally timestamped, optionally closed by
+/// a `done` marker.
+fn pooled_events(seed: u64, len: usize, timed: bool, done: bool) -> Vec<TapeEvent> {
+    use monitoring_semantics::core::Value;
+    use monitoring_semantics::syntax::Annotation;
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut events: Vec<TapeEvent> = (0..len as u64)
+        .map(|step| {
+            let ns = if rng.gen_range(0..2) == 0 { "" } else { "ns" };
+            let ann = Annotation::label(format!("n{}", rng.gen_range(0..NAME_POOL)))
+                .in_namespace(Namespace::new(ns));
+            let ev = match rng.gen_range(0..4) {
+                0 => TapeEvent::pre(&ann, step),
+                1 => TapeEvent::post(&ann, &Value::Bool(step % 2 == 0), step),
+                2 => TapeEvent::post(
+                    &ann,
+                    &Value::list([2, rng.gen_range(0..4)].map(Value::Int)),
+                    step,
+                ),
+                _ => TapeEvent::post(&ann, &Value::Int(rng.gen_range(-3..37)), step),
+            };
+            if timed {
+                ev.at(step * 3)
+            } else {
+                ev
+            }
+        })
+        .collect();
+    if done {
+        events.push(TapeEvent::done(len as u64));
+    }
+    events
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Property 6: interning owned events' strings changes no verdict.
+    /// Owned `check_tape` (owned views, one string index per run of 256
+    /// events) agrees with the view fold over the decoded tape image on
+    /// the outcome and its reason text, the earliest violation and the
+    /// final state; the stream check agrees on every firing, and the
+    /// hot-swap splice on the whole spliced state.
+    #[test]
+    fn interned_owned_views_match_the_decoded_view_fold(
+        seed: u64,
+        len in 0usize..=900,
+        anonymous: bool,
+        spec in 0usize..4,
+        enforcing: bool,
+        timed: bool,
+        done: bool,
+    ) {
+        use monitoring_semantics::stream::{StreamMonitor, StreamResolution};
+        use monitoring_semantics::tape::ViewDecoder;
+        use monitoring_semantics::tspec::SpecResolution;
+        let events = pooled_events(seed, len, timed, done);
+        let watched = Namespace::new(if anonymous { "" } else { "ns" });
+        let src = [
+            "never(post(_) and value < 0)",
+            "always(post(n1) => value >= 0)",
+            "eventually(post(n7))",
+            "never(post(n2) and value = 5)",
+        ][spec];
+        let mut m = SpecMonitor::new("pooled", src).unwrap().in_namespace(watched.clone());
+        if enforcing {
+            m = m.enforcing();
+        }
+        let stream = StreamMonitor::new(
+            "pooled-stream",
+            "stream neg = count(post(_) and value < 0) over window(16)\n\
+             stream pres = count(pre(_)) over window(8)\n\
+             trigger bad = neg >= 1\n\
+             trigger busy = pres >= 4\n\
+             trigger named = pres >= 1 and pre(n3)\n\
+             deadline post(n5) every 40 ms",
+        )
+        .unwrap()
+        .in_namespace(watched);
+
+        let bytes = write_tape(&events);
+        let mut decoder = ViewDecoder::new();
+        let tape = decoder.decode(&bytes).expect("a written tape decodes");
+
+        let owned = m.check_tape(&events);
+        let mut fold = m.check_fold(m.initial_state());
+        m.check_views(&mut fold, tape.events(), &tape);
+        let viewed = m.check_result(fold);
+        prop_assert_eq!(&owned.outcome, &viewed.outcome, "outcome and reason text");
+        prop_assert_eq!(owned.earliest_violation, viewed.earliest_violation);
+        prop_assert_eq!(owned.state.state, viewed.state.state, "DFA state");
+        prop_assert_eq!(owned.state.events, viewed.state.events, "event count");
+
+        let owned = stream.check_tape(&events);
+        let mut state = stream.initial_state();
+        let completed =
+            stream.check_views(&mut state, tape.events(), &tape, &mut StreamResolution::default());
+        let viewed = stream.check_result(state, completed);
+        prop_assert_eq!(&owned.firings, &viewed.firings, "stream firings");
+        prop_assert_eq!(
+            (owned.fired_total, owned.missed, owned.completed),
+            (viewed.fired_total, viewed.missed, viewed.completed)
+        );
+
+        let (spliced, earliest) = splice_state(&m, &events);
+        let (mut state, mut viewed_earliest) = (m.initial_state(), None);
+        m.fold_through(
+            &mut state,
+            tape.events(),
+            &tape,
+            &mut SpecResolution::default(),
+            &mut viewed_earliest,
+        );
+        prop_assert_eq!(spliced, state, "splice over owned views ≡ over decoded views");
+        prop_assert_eq!(earliest, viewed_earliest);
+    }
 }
