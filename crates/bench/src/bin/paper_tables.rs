@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p monsem-bench --bin paper_tables -- \
-//!     [--table all|examples|spec-levels|fig11|futamura|tspec|tspec_levels|tiered|parallel|tape|server-scale|stream] [--json <dir>]
+//!     [--table all|examples|spec-levels|fig11|futamura|tspec|tspec_levels|tiered|parallel|tape|server-scale|server-conns|stream] [--json <dir>]
 //! ```
 //!
 //! With `--json <dir>`, the timed tables additionally write
@@ -15,10 +15,11 @@
 //! `BENCH_tape.json` (event-tape recording, serialization, offline
 //! check, and server ingest), `BENCH_server_scale.json` (batched
 //! pipelined ingest over real sockets vs producer count, a batch-size
-//! ablation against the synchronous per-event protocol, and
+//! ablation against one synchronous request per event, and
 //! checkpoint-seeded vs full-replay check time),
 //! `BENCH_server_conns.json` (concurrent-connection sweep on the epoll
-//! reactor, with peak thread count and RSS per point) and
+//! reactor, median of interleaved rounds, with peak thread count and
+//! RSS per point) and
 //! `BENCH_stream.json` (stream-monitor throughput vs window count and
 //! width, with the allocation-free steady state asserted by a counting
 //! allocator) — into `<dir>`, so the performance trajectory can be
@@ -899,8 +900,8 @@ fn parallel(json: Option<&Path>) {
 /// should process events orders of magnitude faster than the machine
 /// produced them — the point of checking tapes instead of re-executing.
 fn tape(json: Option<&Path>) {
-    use monsem_monitor::{record_monitored_with, MemorySink, SharedSink};
-    use monsem_stream::{StreamMonitor, StreamResolution};
+    use monsem_monitor::{record_monitored_with, Check, MemorySink, SharedSink};
+    use monsem_stream::StreamMonitor;
     use monsem_tape::{read_tape, write_tape, MonitorServer, ServerConfig, ViewDecoder};
     use monsem_tspec::SpecMonitor;
     header(
@@ -995,14 +996,13 @@ fn tape(json: Option<&Path>) {
     let t_view_check = measure(
         || {
             let tape = decoder.decode(&bytes).unwrap();
-            let mut fold = monitor.check_fold(monitor.initial_state());
-            monitor.check_views(&mut fold, tape.events(), &tape);
-            let mut state = stream.initial_state();
-            let mut res = StreamResolution::default();
-            let completed = stream.check_views(&mut state, tape.events(), &tape, &mut res);
+            let mut check = Check::new(monitor.initial_state());
+            check.fold(&monitor, tape.events(), &tape);
+            let mut stream_check = Check::new(stream.initial_state());
+            stream_check.fold(&stream, tape.events(), &tape);
             std::hint::black_box((
-                monitor.check_result(fold),
-                stream.check_result(state, completed),
+                monitor.check_result(check),
+                stream.check_result(stream_check),
             ));
         },
         WARMUP,
@@ -1010,7 +1010,9 @@ fn tape(json: Option<&Path>) {
     );
     // Server ingest: one full session lifecycle — open, stream in
     // chunks through the sharded bounded queues, close. Includes the
-    // per-request round-trips, i.e. what a producer actually pays.
+    // per-request round-trips and each chunk's tape encoding (as a
+    // socket producer's `send_batch` pays it), i.e. what a producer
+    // actually pays.
     const CHUNK: usize = 256;
     let server = MonitorServer::start(ServerConfig::default());
     let mut session = 0u64;
@@ -1022,7 +1024,7 @@ fn tape(json: Option<&Path>) {
                 monsem_tape::Response::Ok
             ));
             for chunk in events.chunks(CHUNK) {
-                server.events(session, chunk.to_vec());
+                server.events(session, chunk);
             }
             server.close(session);
         },
@@ -1280,12 +1282,14 @@ fn server_scale(json: Option<&Path>) {
                                 ));
                                 // Acks are advisory; an unread (bounded)
                                 // channel exercises the drop-not-block path.
+                                // Each chunk is encoded inside the clock,
+                                // as the socket rows' `send_batch` does.
                                 let (out, _acks) = std::sync::mpsc::sync_channel(64);
                                 for chunk in events_ref.chunks(batch_default) {
                                     assert!(server_ref.post(
-                                        Request::Events {
+                                        Request::EventBatch {
                                             session,
-                                            events: chunk.to_vec(),
+                                            tape: monsem_tape::write_tape(chunk),
                                         },
                                         out.clone(),
                                     ));
@@ -1457,10 +1461,10 @@ fn server_scale(json: Option<&Path>) {
                 );
                 ablation.push((batch, wall, epms));
             }
-            // The pre-batching baseline: one synchronous request — a
-            // fresh reply channel, a queue round trip, a blocking recv —
-            // per event, through the in-process API (the wire protocol no
-            // longer has a per-event reply to measure).
+            // The pre-batching baseline: one synchronous one-event batch
+            // request — an encode, a fresh reply channel, a queue round
+            // trip, a blocking recv — per event, through the in-process
+            // API (the wire protocol has no per-event reply to measure).
             let sync_events = &events[..SYNC_N];
             let sync_oracle = SpecMonitor::new("oracle", SPEC)
                 .unwrap()
@@ -1480,10 +1484,7 @@ fn server_scale(json: Option<&Path>) {
                         Response::Ok
                     ));
                     for ev in sync_events {
-                        server.request(Request::Events {
-                            session: sync_session,
-                            events: vec![ev.clone()],
-                        });
+                        server.events(sync_session, std::slice::from_ref(ev));
                     }
                     let v = match server.request(Request::Close {
                         session: sync_session,
@@ -1607,11 +1608,13 @@ fn server_scale(json: Option<&Path>) {
 }
 
 /// Connection-count sweep: C concurrent sessions over TCP on the epoll
-/// reactor. Every point's close verdicts are asserted against the
-/// offline oracle inside the timed run (the close round trip is the
-/// barrier), and a sampler thread records the process's peak thread
-/// count and RSS from `/proc/self/status` — the reactor holds a fixed
-/// pool of threads whatever C is, which the C = 1024 point asserts.
+/// reactor. Every run's close verdicts are asserted against the offline
+/// oracle inside the timed run (the close round trip is the barrier),
+/// and a sampler thread records the process's peak thread count and RSS
+/// from `/proc/self/status` — the reactor holds a fixed pool of threads
+/// whatever C is, which the C = 1024 runs assert. A point's time depends
+/// on what ran before it in the process, so the points are timed in
+/// interleaved rounds and each reports its median, min and max.
 fn server_conns(json: Option<&Path>) {
     use monsem_core::Value;
     use monsem_monitor::TapeEvent;
@@ -1631,13 +1634,15 @@ fn server_conns(json: Option<&Path>) {
     const CONNS: &[usize] = &[1, 64, 256, 1024];
     const DRIVERS: usize = 8;
     const IO_THREADS: usize = 2;
+    /// Rounds over every point, in order, per table run.
+    const ROUNDS: usize = 5;
 
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let shards = ServerConfig::default().shards;
     header(&format!(
         "Server connection scaling: C concurrent sessions, epoll reactor with {IO_THREADS} I/O threads\n\
-         host_cpus = {host_cpus}; every point's close verdicts are asserted against\n\
-         the offline oracle inside the timed run"
+         host_cpus = {host_cpus}; median [min, max] of {ROUNDS} interleaved rounds per point;\n\
+         every run's close verdicts are asserted against the offline oracle inside the timed run"
     ));
 
     /// Peak `Threads:` and `VmRSS:` (kB) seen in `/proc/self/status`
@@ -1673,33 +1678,20 @@ fn server_conns(json: Option<&Path>) {
         Client::connect_tcp(addr).expect("connect after retries")
     }
 
-    let ann = Annotation::label("req");
-    let backend = format!("reactor:{IO_THREADS}");
-    let mut points: Vec<(usize, usize, Duration, f64, u64, u64)> = Vec::new();
+    /// One point's workload: the events every connection sends, and the
+    /// oracle's verdict on them.
+    struct Point {
+        conns: usize,
+        events: Vec<TapeEvent>,
+        oracle_earliest: Option<u64>,
+        oracle_violated: bool,
+    }
 
-    for &conns in CONNS {
-        let per_conn = (TOTAL / conns).max(MIN_PER_CONN);
-        // One shared workload per point, violation on a late step so
-        // earliest-violation tracking is paid for on every session.
-        let violate_at = per_conn as u64 - 2;
-        let events: Vec<TapeEvent> = (0..per_conn)
-            .map(|i| {
-                let v = if i as u64 == violate_at {
-                    -1
-                } else {
-                    (i % 97) as i64
-                };
-                TapeEvent::post(&ann, &Value::Int(v), i as u64)
-            })
-            .collect();
-        let oracle = SpecMonitor::new("oracle", SPEC)
-            .unwrap()
-            .check_tape(events.iter());
-        let oracle_earliest = oracle.earliest_violation;
-        let oracle_violated = matches!(oracle.outcome, TapeOutcome::Violated(_));
-        assert!(oracle_violated, "the workload must exercise violations");
+    /// One timed run of a point on a fresh server: (wall, peak threads,
+    /// peak RSS in kB).
+    fn run_point(point: &Point) -> (Duration, u64, u64) {
+        let (conns, per_conn) = (point.conns, point.events.len());
         let chunk = per_conn.min(1024);
-
         let server = Arc::new(MonitorServer::start(ServerConfig::default()));
         let handle = serve_tcp_with(Arc::clone(&server), "127.0.0.1:0", IO_THREADS)
             .expect("bind sweep listener");
@@ -1708,7 +1700,6 @@ fn server_conns(json: Option<&Path>) {
         let stop = AtomicBool::new(false);
         let peak_threads = AtomicU64::new(0);
         let peak_rss = AtomicU64::new(0);
-        let events_ref = &events;
 
         let wall = std::thread::scope(|scope| {
             scope.spawn(|| sample_status(&stop, &peak_threads, &peak_rss));
@@ -1738,7 +1729,7 @@ fn server_conns(json: Option<&Path>) {
                             })
                             .collect();
                         for at in (0..per_conn).step_by(chunk) {
-                            let slice = &events_ref[at..(at + chunk).min(per_conn)];
+                            let slice = &point.events[at..(at + chunk).min(per_conn)];
                             for (k, c) in clients.iter_mut().enumerate() {
                                 c.send_batch(mine[k], slice).expect("send");
                             }
@@ -1752,8 +1743,15 @@ fn server_conns(json: Option<&Path>) {
                                 other => panic!("close: {other:?}"),
                             };
                             assert_eq!(v.ingested, per_conn as u64, "events lost in flight");
-                            assert_eq!(v.earliest_violation, oracle_earliest, "verdict drifted");
-                            assert_eq!(v.violation.is_some(), oracle_violated, "verdict drifted");
+                            assert_eq!(
+                                v.earliest_violation, point.oracle_earliest,
+                                "verdict drifted"
+                            );
+                            assert_eq!(
+                                v.violation.is_some(),
+                                point.oracle_violated,
+                                "verdict drifted"
+                            );
                         }
                     });
                 }
@@ -1765,44 +1763,96 @@ fn server_conns(json: Option<&Path>) {
 
         handle.stop();
         server.shutdown();
+        (
+            wall,
+            peak_threads.load(Ordering::Relaxed),
+            peak_rss.load(Ordering::Relaxed),
+        )
+    }
 
-        let total_events = conns * per_conn;
-        let epms = total_events as f64 / (wall.as_secs_f64() * 1e3);
-        let threads = peak_threads.load(Ordering::Relaxed);
-        let rss = peak_rss.load(Ordering::Relaxed);
-        println!(
-            "{backend:<10} C={conns:<5} {per_conn:>6} ev/conn   {}   ({epms:>7.0} events/ms, peak {threads} threads, {rss} kB RSS)",
-            ms(wall)
-        );
-        // The reactor's headline claim: I/O threads stay bounded at
-        // C = 1024 instead of growing with C. Everything else in the
-        // process (shards, drivers, sampler, main) is a small constant.
-        if conns == 1024 {
-            let bound = (IO_THREADS + shards + DRIVERS + 8) as u64;
-            assert!(
-                threads <= bound,
-                "reactor thread count {threads} exceeds bound {bound} at C=1024"
-            );
+    let ann = Annotation::label("req");
+    let points: Vec<Point> = CONNS
+        .iter()
+        .map(|&conns| {
+            let per_conn = (TOTAL / conns).max(MIN_PER_CONN);
+            // One shared workload per point, violation on a late step so
+            // earliest-violation tracking is paid for on every session.
+            let violate_at = per_conn as u64 - 2;
+            let events: Vec<TapeEvent> = (0..per_conn)
+                .map(|i| {
+                    let v = if i as u64 == violate_at {
+                        -1
+                    } else {
+                        (i % 97) as i64
+                    };
+                    TapeEvent::post(&ann, &Value::Int(v), i as u64)
+                })
+                .collect();
+            let oracle = SpecMonitor::new("oracle", SPEC)
+                .unwrap()
+                .check_tape(events.iter());
+            let oracle_violated = matches!(oracle.outcome, TapeOutcome::Violated(_));
+            assert!(oracle_violated, "the workload must exercise violations");
+            Point {
+                conns,
+                events,
+                oracle_earliest: oracle.earliest_violation,
+                oracle_violated,
+            }
+        })
+        .collect();
+
+    // samples[i] holds point i's runs; a round runs every point once.
+    let mut samples: Vec<Vec<(Duration, u64, u64)>> = vec![Vec::new(); points.len()];
+    for _ in 0..ROUNDS {
+        for (point, runs) in points.iter().zip(&mut samples) {
+            let (wall, threads, rss) = run_point(point);
+            // The reactor's headline claim: I/O threads stay bounded at
+            // C = 1024 instead of growing with C. Everything else in the
+            // process (shards, drivers, sampler, main) is a small
+            // constant.
+            if point.conns == 1024 {
+                let bound = (IO_THREADS + shards + DRIVERS + 8) as u64;
+                assert!(
+                    threads <= bound,
+                    "reactor thread count {threads} exceeds bound {bound} at C=1024"
+                );
+            }
+            runs.push((wall, threads, rss));
         }
-        points.push((conns, per_conn, wall, epms, threads, rss));
+    }
+
+    let backend = format!("reactor:{IO_THREADS}");
+    let mut rows: Vec<String> = Vec::new();
+    for (point, runs) in points.iter().zip(&mut samples) {
+        runs.sort();
+        let (median, min, max) = (runs[runs.len() / 2].0, runs[0].0, runs[runs.len() - 1].0);
+        let threads = runs.iter().map(|r| r.1).max().unwrap_or(0);
+        let rss = runs.iter().map(|r| r.2).max().unwrap_or(0);
+        let (conns, per_conn) = (point.conns, point.events.len());
+        let total_events = conns * per_conn;
+        let epms = total_events as f64 / (median.as_secs_f64() * 1e3);
+        println!(
+            "{backend:<10} C={conns:<5} {per_conn:>6} ev/conn   {} [{}, {}]   ({epms:>7.0} events/ms, peak {threads} threads, {rss} kB RSS)",
+            ms(median),
+            ms(min),
+            ms(max)
+        );
+        rows.push(format!(
+            "    {{ \"backend\": \"{backend}\", \"conns\": {conns}, \"events_per_conn\": {per_conn}, \"total_events\": {total_events}, \"wall_ms\": {}, \"wall_ms_min\": {}, \"wall_ms_max\": {}, \"events_per_ms\": {epms:.1}, \"peak_threads\": {threads}, \"peak_rss_kb\": {rss} }}",
+            json_ms(median),
+            json_ms(min),
+            json_ms(max)
+        ));
     }
 
     if let Some(dir) = json {
-        let point_rows: Vec<String> = points
-            .iter()
-            .map(|(conns, per_conn, wall, epms, threads, rss)| {
-                format!(
-                    "    {{ \"backend\": \"{backend}\", \"conns\": {conns}, \"events_per_conn\": {per_conn}, \"total_events\": {}, \"wall_ms\": {}, \"events_per_ms\": {epms:.1}, \"peak_threads\": {threads}, \"peak_rss_kb\": {rss} }}",
-                    conns * per_conn,
-                    json_ms(*wall)
-                )
-            })
-            .collect();
         let body = format!(
             "{{\n  \
                \"table\": \"server_conns\",\n  \
                \"unit\": \"ms\",\n  \
-               \"statistic\": \"single timed run per point (connection sweep)\",\n  \
+               \"statistic\": \"median of {ROUNDS} interleaved rounds per point (wall_ms_min and wall_ms_max give the range; peak threads and RSS are the rounds' maxima)\",\n  \
+               \"rounds\": {ROUNDS},\n  \
                \"host_cpus\": {host_cpus},\n  \
                \"shards\": {shards},\n  \
                \"io_threads\": {IO_THREADS},\n  \
@@ -1810,7 +1860,7 @@ fn server_conns(json: Option<&Path>) {
                \"spec\": \"{SPEC}\",\n  \
                \"verdicts_asserted_against_offline_oracle\": true,\n  \
                \"points\": [\n{}\n  ]\n}}\n",
-            point_rows.join(",\n"),
+            rows.join(",\n"),
         );
         write_json(dir, "BENCH_server_conns.json", body);
     }

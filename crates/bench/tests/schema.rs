@@ -211,6 +211,9 @@ const SCHEMAS: &[(&str, &str, &[&str])] = &[
             "\"events_per_ms\"",
             "\"peak_threads\"",
             "\"peak_rss_kb\"",
+            "\"rounds\"",
+            "\"wall_ms_min\"",
+            "\"wall_ms_max\"",
         ],
     ),
 ];

@@ -100,7 +100,8 @@ pub use parallel::{eval_parallel, eval_parallel_with, ParOptions};
 pub use scope::Scope;
 pub use spec::{DynMonitor, HookPhase, IdentityMonitor, MergeMonitor, Monitor, Outcome};
 pub use tape::{
-    fold_owned, record_monitored, record_monitored_with, EventView, FoldEnd, MemorySink,
-    OwnedViews, SharedSink, Strings, TapeEvent, TapePhase, TapeSink, Taping, ValueDesc, NO_STRING,
+    fold_owned, fold_through, fold_views, record_monitored, record_monitored_with, Check,
+    EventView, FoldEnd, MemorySink, OwnedViews, Resolution, SharedSink, Strings, TapeEvent,
+    TapeFold, TapePhase, TapeSink, Taping, ValueDesc, NO_STRING,
 };
 pub use tiered::{Relatives, SpecTree, TierPolicy, TierStats};

@@ -256,15 +256,16 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 const INDEX_MIN_SLOTS: usize = 16;
 
 /// Slots an [`OwnedViews`] index probe visits at most. The index keys
-/// text that can come from outside the program (a server's per-event
-/// requests), so names crafted to collide must not make interning
-/// quadratic: text whose probe runs longer gets an unindexed id.
+/// text that can come from outside the program (a tape file read with
+/// `read_tape` and checked as owned events), so names crafted to collide
+/// must not make interning quadratic: text whose probe runs longer gets
+/// an unindexed id.
 const INDEX_MAX_PROBES: usize = 16;
 
 /// Views over owned [`TapeEvent`]s: the adapter that lets a `&TapeEvent`
-/// path (an in-memory tape, a [`TapeSink`] recording, a per-event
-/// request) run the same view fold as a decoded tape. Building the views
-/// copies no text.
+/// path (an in-memory tape, a [`TapeSink`] recording, a tape read with
+/// `read_tape`) run the same view fold as a decoded tape. Building the
+/// views copies no text.
 ///
 /// Equal namespace or name text gets one id per run, as on a decoded
 /// tape, so a fold resolves each distinct string once per run rather
@@ -397,6 +398,218 @@ impl<'a> OwnedViews<'a> {
 impl Strings for OwnedViews<'_> {
     fn get(&self, id: u32) -> &str {
         Strings::get(&self.strings[..], id)
+    }
+}
+
+/// A string table resolved against one monitor: per string id, whether it
+/// spells the watched namespace and what the monitor's spec makes of it
+/// as a name. Filled lazily as a fold meets each id, so every string is
+/// resolved at most once per table, and never interned. The buffers are
+/// reused: [`Resolution::reset`] before each new table.
+#[derive(Debug, Clone, Default)]
+pub struct Resolution {
+    ours: Vec<u8>,
+    names: Vec<u32>,
+}
+
+/// A [`Resolution`] slot no name has been resolved into yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+impl Resolution {
+    /// Forgets the previous table's ids, keeping the buffers.
+    pub fn reset(&mut self) {
+        self.ours.clear();
+        self.names.clear();
+    }
+
+    /// Whether string `id` spells `namespace` ([`NO_STRING`] spells
+    /// `""`).
+    #[inline]
+    pub fn ours(&mut self, id: u32, strings: &dyn Strings, namespace: &str) -> bool {
+        if id == NO_STRING {
+            return namespace.is_empty();
+        }
+        let i = id as usize;
+        if i >= self.ours.len() {
+            self.ours.resize(i + 1, 0);
+        }
+        if self.ours[i] == 0 {
+            self.ours[i] = if same_text(strings.get(id), namespace) {
+                1
+            } else {
+                2
+            };
+        }
+        self.ours[i] == 1
+    }
+
+    /// What string `id` names: `resolve` of its text, called once per id
+    /// and table. `resolve` must not return `u32::MAX`.
+    #[inline]
+    pub fn name(
+        &mut self,
+        id: u32,
+        strings: &dyn Strings,
+        resolve: impl FnOnce(&str) -> u32,
+    ) -> u32 {
+        if id == NO_STRING {
+            return resolve("");
+        }
+        let i = id as usize;
+        if i >= self.names.len() {
+            self.names.resize(i + 1, UNRESOLVED);
+        }
+        if self.names[i] == UNRESOLVED {
+            self.names[i] = resolve(strings.get(id));
+        }
+        self.names[i]
+    }
+}
+
+/// A monitor that folds tape events as [`EventView`]s: the MFun of the
+/// tape paths. A kind supplies the one-event step; [`fold_views`],
+/// [`fold_through`] and [`Check`] run it over runs of views, so every
+/// tape path — offline checks, checkpoint writing and seeking, the
+/// monitor server's ingest and hot-swap splice — is one loop for every
+/// kind.
+pub trait TapeFold: Monitor {
+    /// Folds one event view in place: its strings resolve through `res`
+    /// (once per id and table). Records the step of the event that first
+    /// enters a violation in `earliest`, for kinds that have one. A `done`
+    /// marker leaves the state untouched: [`fold_views`] stops at it, and
+    /// its caller closes the trace.
+    fn fold_view(
+        &self,
+        state: &mut Self::State,
+        ev: &EventView,
+        strings: &dyn Strings,
+        res: &mut Resolution,
+        earliest: &mut Option<u64>,
+    ) -> Outcome<()>;
+
+    /// Ends a fold over one string table: the state must stop referring
+    /// to it. The default keeps nothing.
+    fn end_views(&self, _state: &mut Self::State, _strings: &dyn Strings) {}
+}
+
+/// Folds a run of event views (one string table, resolved afresh) until
+/// its end, a `done` marker, or an abort verdict — the batch fold behind
+/// every tape path. Ends the table ([`TapeFold::end_views`]) before
+/// returning.
+pub fn fold_views<M: TapeFold>(
+    m: &M,
+    state: &mut M::State,
+    views: &[EventView],
+    strings: &dyn Strings,
+    res: &mut Resolution,
+    earliest: &mut Option<u64>,
+) -> FoldEnd {
+    res.reset();
+    let mut end = FoldEnd::End;
+    for (i, ev) in views.iter().enumerate() {
+        if ev.phase == TapePhase::Done {
+            end = FoldEnd::Done(i);
+            break;
+        }
+        if let Outcome::Abort { .. } = m.fold_view(state, ev, strings, res, earliest) {
+            end = FoldEnd::Abort(i);
+            break;
+        }
+    }
+    m.end_views(state, strings);
+    end
+}
+
+/// [`fold_views`] over every event: `done` markers and abort verdicts
+/// are passed over, as hot-swap splicing and checkpoint writing need.
+pub fn fold_through<M: TapeFold>(
+    m: &M,
+    state: &mut M::State,
+    mut views: &[EventView],
+    strings: &dyn Strings,
+    res: &mut Resolution,
+    earliest: &mut Option<u64>,
+) {
+    while let FoldEnd::Done(i) | FoldEnd::Abort(i) =
+        fold_views(m, state, views, strings, res, earliest)
+    {
+        views = &views[i + 1..];
+    }
+}
+
+/// An offline check in progress: the accumulator every kind's tape check
+/// folds into, run by run, until a `done` marker closes the trace or an
+/// abort verdict ends it. Each kind turns the finished accumulator into
+/// its own verdict.
+#[derive(Debug)]
+pub struct Check<S> {
+    /// The fold state.
+    pub state: S,
+    /// The step of the event that first entered a violation.
+    pub earliest: Option<u64>,
+    /// Whether a `done` marker was folded.
+    pub completed: bool,
+    /// The `done` marker's timestamp, on timed tapes.
+    pub end_time: Option<u64>,
+    /// Whether an event produced an abort verdict.
+    pub aborted: bool,
+    res: Resolution,
+}
+
+impl<S> Check<S> {
+    /// A check from `seed` that has folded nothing.
+    pub fn new(seed: S) -> Check<S> {
+        Check {
+            state: seed,
+            earliest: None,
+            completed: false,
+            end_time: None,
+            aborted: false,
+            res: Resolution::default(),
+        }
+    }
+
+    /// A check of owned events from `seed`, folded as views a run at a
+    /// time (see [`fold_owned`]).
+    pub fn owned<'a, M: TapeFold<State = S>>(
+        m: &M,
+        seed: S,
+        events: impl IntoIterator<Item = &'a TapeEvent>,
+    ) -> Check<S> {
+        let mut check = Check::new(seed);
+        fold_owned(events, |run| check.fold(m, run.views(), run));
+        check
+    }
+
+    /// Feeds one run of event views (one string table). Returns `false`
+    /// once the check has concluded — at a `done` marker or an abort
+    /// verdict — and folds nothing after that.
+    pub fn fold<M: TapeFold<State = S>>(
+        &mut self,
+        m: &M,
+        views: &[EventView],
+        strings: &dyn Strings,
+    ) -> bool {
+        if self.completed || self.aborted {
+            return false;
+        }
+        let end = fold_views(
+            m,
+            &mut self.state,
+            views,
+            strings,
+            &mut self.res,
+            &mut self.earliest,
+        );
+        match end {
+            FoldEnd::End => return true,
+            FoldEnd::Done(i) => {
+                self.completed = true;
+                self.end_time = views[i].time;
+            }
+            FoldEnd::Abort(_) => self.aborted = true,
+        }
+        false
     }
 }
 

@@ -67,7 +67,7 @@ pub use ast::{
 pub use compile::{MemoryReport, StreamMemory, StreamSpec, MAX_DECLS};
 pub use eval::{DeadlineState, EvView, StreamEvent, PANES};
 pub use monitor::{
-    Firing, ShardEvent, StreamCheck, StreamMonitor, StreamResolution, StreamShardTape, StreamState,
+    Firing, ShardEvent, StreamCheck, StreamMonitor, StreamShardTape, StreamState,
     DEFAULT_FIRINGS_CAP, DEFAULT_REPLAY_CAP,
 };
 pub use parser::{parse_stream_src, MAX_EVENT_WINDOW, RESERVED};

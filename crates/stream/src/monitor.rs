@@ -29,8 +29,8 @@ use crate::eval::{
 };
 use monsem_core::Value;
 use monsem_monitor::tape::{
-    fold_owned, same_text, value_is_unsorted, EventView, FoldEnd, Strings, TapeEvent, TapePhase,
-    NO_STRING,
+    same_text, value_is_unsorted, Check, EventView, Resolution, Strings, TapeEvent, TapeFold,
+    TapePhase,
 };
 use monsem_monitor::{HookPhase, MergeMonitor, Monitor, Outcome, Scope};
 use monsem_syntax::{Annotation, Expr, Ident, Namespace};
@@ -308,6 +308,9 @@ impl StreamMonitor {
 
     /// [`StreamMonitor::step_event`] in place, for any event
     /// representation; returns the abort reason of an enforcing firing.
+    /// Inlined so that the tape fold, compiled in the caller's crate,
+    /// keeps the step in its loop.
+    #[inline]
     fn step_in_place<E: StreamEvent + ?Sized>(
         &self,
         s: &mut StreamState,
@@ -508,98 +511,31 @@ impl StreamMonitor {
     /// checking: restore a snapshot taken after the first N events, feed
     /// the remaining tape, and the verdict matches a full replay.
     ///
-    /// An adapter over [`StreamMonitor::check_views`]: the events are
-    /// folded as views, a chunk at a time.
+    /// An adapter over [`Check`]: the events are folded as views, a run
+    /// at a time.
     pub fn check_tape_seeded<'a>(
         &self,
         seed: StreamState,
         events: impl IntoIterator<Item = &'a TapeEvent>,
     ) -> StreamCheck {
-        let mut state = seed;
-        let mut completed = false;
-        let mut res = StreamResolution::default();
-        fold_owned(events, |chunk| {
-            completed = self.check_views(&mut state, chunk.views(), chunk, &mut res);
-            !completed
-        });
-        self.check_result(state, completed)
+        self.check_result(Check::owned(self, seed, events))
     }
 
-    /// Folds one run of event views (one string table) as an offline
-    /// check does: up to a `done` marker, which closes the trace with
-    /// [`StreamMonitor::finish`] at its timestamp. Returns whether the
-    /// trace was closed.
-    pub fn check_views(
-        &self,
-        state: &mut StreamState,
-        views: &[EventView],
-        strings: &dyn Strings,
-        res: &mut StreamResolution,
-    ) -> bool {
-        res.reset();
-        match self.fold_views(state, views, strings, res) {
-            FoldEnd::Done(i) => {
-                *state = self.finish(state, views[i].time);
-                true
-            }
-            FoldEnd::End | FoldEnd::Abort(_) => false,
-        }
-    }
-
-    /// The result of a check that ended in `state`.
-    pub fn check_result(&self, state: StreamState, completed: bool) -> StreamCheck {
+    /// The result of a check: closes the trace with
+    /// [`StreamMonitor::finish`], at the `done` marker's timestamp, if one
+    /// was folded.
+    pub fn check_result(&self, check: Check<StreamState>) -> StreamCheck {
+        let state = if check.completed {
+            self.finish(&check.state, check.end_time)
+        } else {
+            check.state
+        };
         StreamCheck {
             firings: state.firings.clone(),
             fired_total: state.fired_total,
             missed: state.missed_total,
-            completed,
+            completed: check.completed,
             state,
-        }
-    }
-
-    /// Folds a run of event views (one string table) in place until its
-    /// end or a `done` marker — the batch fold behind every tape path.
-    /// Names resolve through `res` once per string id, so predicates
-    /// compare indices; an enforcing firing does not stop the fold (a
-    /// tape check reports every firing).
-    pub fn fold_views(
-        &self,
-        state: &mut StreamState,
-        views: &[EventView],
-        strings: &dyn Strings,
-        res: &mut StreamResolution,
-    ) -> FoldEnd {
-        for (i, ev) in views.iter().enumerate() {
-            if ev.phase == TapePhase::Done {
-                return FoldEnd::Done(i);
-            }
-            if !res.ours(self, ev.namespace, strings) {
-                continue;
-            }
-            let event = ResolvedEvent {
-                ev,
-                name: res.name(self, ev.name, strings),
-                names: self.spec.names(),
-                strings,
-            };
-            self.step_in_place(state, &event, Some(ev.step), ev.time);
-        }
-        FoldEnd::End
-    }
-
-    /// [`StreamMonitor::fold_views`] over every event, passing over
-    /// `done` markers without closing the trace, as hot-swap splicing
-    /// and checkpoint writing need.
-    pub fn fold_through(
-        &self,
-        state: &mut StreamState,
-        mut views: &[EventView],
-        strings: &dyn Strings,
-        res: &mut StreamResolution,
-    ) {
-        while let FoldEnd::Done(i) | FoldEnd::Abort(i) = self.fold_views(state, views, strings, res)
-        {
-            views = &views[i + 1..];
         }
     }
 
@@ -614,62 +550,35 @@ impl StreamMonitor {
     }
 }
 
-/// A string table resolved against one [`StreamMonitor`]: per string id,
-/// whether it is the watched namespace and which of the names the spec
-/// mentions it spells. Filled lazily as a fold
-/// meets each id; the buffers are reused across
-/// [`StreamResolution::reset`].
-#[derive(Debug, Clone, Default)]
-pub struct StreamResolution {
-    ours: Vec<u8>,
-    name: Vec<u32>,
-}
-
-const UNRESOLVED: u32 = u32::MAX;
+/// [`Resolution::name`]'s answer for a string no name in the spec spells.
 const UNNAMED: u32 = u32::MAX - 1;
 
-impl StreamResolution {
-    /// Forgets the previous table's ids, keeping the buffers.
-    pub fn reset(&mut self) {
-        self.ours.clear();
-        self.name.clear();
-    }
-
-    fn ours(&mut self, m: &StreamMonitor, id: u32, strings: &dyn Strings) -> bool {
-        if id == NO_STRING {
-            return m.namespace.as_str().is_empty();
+/// Names resolve once per string id, so predicates compare indices; an
+/// enforcing firing does not stop the fold (a tape check reports every
+/// firing).
+impl TapeFold for StreamMonitor {
+    #[inline]
+    fn fold_view(
+        &self,
+        state: &mut StreamState,
+        ev: &EventView,
+        strings: &dyn Strings,
+        res: &mut Resolution,
+        _earliest: &mut Option<u64>,
+    ) -> Outcome<()> {
+        if !res.ours(ev.namespace, strings, self.namespace.as_str()) {
+            return Outcome::Continue(());
         }
-        let i = id as usize;
-        if i >= self.ours.len() {
-            self.ours.resize(i + 1, 0);
-        }
-        if self.ours[i] == 0 {
-            self.ours[i] = if same_text(strings.get(id), m.namespace.as_str()) {
-                1
-            } else {
-                2
-            };
-        }
-        self.ours[i] == 1
-    }
-
-    fn name(&mut self, m: &StreamMonitor, id: u32, strings: &dyn Strings) -> u32 {
-        let lookup = || {
-            m.spec
-                .name_index(strings.get(id))
-                .map_or(UNNAMED, |k| k as u32)
+        let event = ResolvedEvent {
+            ev,
+            name: res.name(ev.name, strings, |name| {
+                self.spec.name_index(name).map_or(UNNAMED, |k| k as u32)
+            }),
+            names: self.spec.names(),
+            strings,
         };
-        if id == NO_STRING {
-            return lookup();
-        }
-        let i = id as usize;
-        if i >= self.name.len() {
-            self.name.resize(i + 1, UNRESOLVED);
-        }
-        if self.name[i] == UNRESOLVED {
-            self.name[i] = lookup();
-        }
-        self.name[i]
+        self.step_in_place(state, &event, Some(ev.step), ev.time);
+        Outcome::Continue(())
     }
 }
 

@@ -16,10 +16,10 @@
 //! full replay rather than seeding from a foreign automaton's state.
 
 use crate::format::{digest64, Checkpoint, StreamCheckpoint, TapeError, TapeWriter, ViewDecoder};
-use monsem_monitor::tape::{OwnedViews, TapeEvent};
+use monsem_monitor::tape::{fold_through, Check, OwnedViews, Resolution, TapeEvent, TapeFold};
 use monsem_monitor::Monitor;
-use monsem_stream::{restore_state, snapshot_state, StreamCheck, StreamMonitor, StreamResolution};
-use monsem_tspec::{SpecMonitor, SpecResolution, SpecState, TapeCheck, TraceRing};
+use monsem_stream::{restore_state, snapshot_state, StreamCheck, StreamMonitor};
+use monsem_tspec::{SpecMonitor, SpecState, TapeCheck, TraceRing};
 
 /// The digest a checkpoint stores for a spec: [`digest64`] of its
 /// source text.
@@ -46,7 +46,7 @@ pub fn write_tape_checkpointed(
     let mut ss = spec.initial_state();
     let mut earliest: Option<u64> = None;
     let mut stream_state = stream.map(|m| m.initial_state());
-    let (mut spec_res, mut stream_res) = (SpecResolution::default(), StreamResolution::default());
+    let mut res = Resolution::default();
     let mut views = OwnedViews::new();
     let mut folded = 0;
     // Each interval is one run of views through the same fold the
@@ -57,11 +57,16 @@ pub fn write_tape_checkpointed(
             w.record_ref(ev);
             views.push(ev);
         }
-        spec_res.reset();
-        spec.fold_through(&mut ss, views.views(), &views, &mut spec_res, &mut earliest);
+        fold_through(
+            spec,
+            &mut ss,
+            views.views(),
+            &views,
+            &mut res,
+            &mut earliest,
+        );
         if let (Some(m), Some(st)) = (stream, &mut stream_state) {
-            stream_res.reset();
-            m.fold_through(st, views.views(), &views, &mut stream_res);
+            fold_through(m, st, views.views(), &views, &mut res, &mut None);
         }
         folded += interval.len();
         if folded % every == 0 && folded < events.len() {
@@ -155,29 +160,15 @@ pub fn check_tape_from(
     tape: &[u8],
     from: u64,
 ) -> Result<SeededCheck<TapeCheck>, TapeError> {
-    let mut decoder = ViewDecoder::new();
-    let mut checkpoints = Vec::new();
-    let decoded = decoder.decode_checkpointed(tape, &mut checkpoints)?;
-    let views = decoded.events();
-    let total = views.len() as u64;
+    let want = spec_digest(monitor.spec().source());
     let states = monitor.automaton().num_states();
-    checkpoints.retain(|c| c.dfa_state < states);
-    let ckpt = seek_checkpoint(&checkpoints, from.min(total), monitor.spec().source());
-    let resumed_at = ckpt.map_or(0, |c| c.events);
-    let seed = ckpt.map_or_else(|| monitor.initial_state(), seeded_spec_state);
-    let mut fold = monitor.check_fold(seed);
-    monitor.check_views(&mut fold, &views[resumed_at as usize..], &decoded);
-    let mut check = monitor.check_result(fold);
-    if let Some(ckpt) = ckpt {
-        // A violation inside the skipped prefix is earlier than
-        // anything the replay can observe.
-        check.earliest_violation = ckpt.earliest_violation.or(check.earliest_violation);
-    }
-    Ok(SeededCheck {
-        check,
-        resumed_at,
-        replayed: total - resumed_at,
-    })
+    let seeded = check_seeded(monitor, tape, from, |c| {
+        // A violation inside the skipped prefix is earlier than anything
+        // the replay can observe.
+        (c.spec_digest == want && c.dfa_state < states)
+            .then(|| (seeded_spec_state(c), c.earliest_violation))
+    })?;
+    Ok(seeded.map(|check| monitor.check_result(check)))
 }
 
 /// The stream-spec counterpart of [`check_tape_from`]: seeks the last
@@ -194,32 +185,53 @@ pub fn check_stream_from(
     tape: &[u8],
     from: u64,
 ) -> Result<SeededCheck<StreamCheck>, TapeError> {
+    let want = spec_digest(monitor.spec().source());
+    let seeded = check_seeded(monitor, tape, from, |c| {
+        let s = c.stream.as_ref()?;
+        if s.spec_digest != want || digest64(&s.snapshot) != s.snapshot_digest {
+            return None;
+        }
+        Some((restore_state(monitor, &s.snapshot).ok()?, None))
+    })?;
+    Ok(seeded.map(|check| monitor.check_result(check)))
+}
+
+impl<C> SeededCheck<C> {
+    fn map<D>(self, f: impl FnOnce(C) -> D) -> SeededCheck<D> {
+        SeededCheck {
+            check: f(self.check),
+            resumed_at: self.resumed_at,
+            replayed: self.replayed,
+        }
+    }
+}
+
+/// The decode-and-seek both seeded checks share: decodes `tape` into
+/// views once, seeds the check from the last checkpoint at or before
+/// `from` that `seed` accepts (a state and the earliest violation before
+/// it), else from the initial state, and folds the rest.
+fn check_seeded<M: TapeFold>(
+    monitor: &M,
+    tape: &[u8],
+    from: u64,
+    seed: impl Fn(&Checkpoint) -> Option<(M::State, Option<u64>)>,
+) -> Result<SeededCheck<Check<M::State>>, TapeError> {
     let mut decoder = ViewDecoder::new();
     let mut checkpoints = Vec::new();
     let decoded = decoder.decode_checkpointed(tape, &mut checkpoints)?;
     let views = decoded.events();
     let total = views.len() as u64;
-    let want = spec_digest(monitor.spec().source());
-    let seed = checkpoints
+    let (resumed_at, state, earliest) = checkpoints
         .iter()
         .rev()
         .filter(|c| c.events <= from.min(total))
-        .find_map(|c| {
-            let s = c.stream.as_ref()?;
-            if s.spec_digest != want || digest64(&s.snapshot) != s.snapshot_digest {
-                return None;
-            }
-            Some((c.events, restore_state(monitor, &s.snapshot).ok()?))
-        });
-    let (resumed_at, mut state) = seed.unwrap_or_else(|| (0, monitor.initial_state()));
-    let completed = monitor.check_views(
-        &mut state,
-        &views[resumed_at as usize..],
-        &decoded,
-        &mut StreamResolution::default(),
-    );
+        .find_map(|c| seed(c).map(|(state, earliest)| (c.events, state, earliest)))
+        .unwrap_or_else(|| (0, monitor.initial_state(), None));
+    let mut check = Check::new(state);
+    check.earliest = earliest;
+    check.fold(monitor, &views[resumed_at as usize..], &decoded);
     Ok(SeededCheck {
-        check: monitor.check_result(state, completed),
+        check,
         resumed_at,
         replayed: total - resumed_at,
     })

@@ -301,8 +301,8 @@ pub fn serve_unix_with(
 /// A blocking protocol client over any byte stream.
 ///
 /// Control requests ([`Client::open`], [`Client::swap`],
-/// [`Client::close`], …) are strictly request/reply. Event traffic can
-/// instead be *streamed*: [`Client::send_batch`] writes an
+/// [`Client::close`], …) are strictly request/reply. Events are
+/// *streamed*, as tape images: [`Client::send_batch`] writes an
 /// [`Request::EventBatch`] frame and returns without reading, and the
 /// cumulative [`Response::Ack`] frames the server interleaves are
 /// absorbed (and recorded — see [`Client::last_ack`]) by the next
@@ -311,7 +311,7 @@ pub fn serve_unix_with(
 ///
 /// Connection faults are **sticky**: once any operation hits an I/O
 /// error (including an unexpected EOF mid-reply), every subsequent
-/// call — the next [`Client::events`] as much as the final
+/// call — the next [`Client::send_batch`] as much as the final
 /// [`Client::close`] — fails immediately with the original failure,
 /// instead of the breakage surfacing only when the close barrier
 /// finally reads the socket.
@@ -498,32 +498,6 @@ impl<S: io::Read + io::Write> Client<S> {
             spec: spec.to_string(),
             stream: Some(stream.to_string()),
         })
-    }
-
-    /// Streams events into a session, fire-and-forget: the server
-    /// replies with cumulative [`Response::Ack`]s instead of a
-    /// per-frame verdict (absorbed by the next synchronous
-    /// [`Client::request`] — typically the [`Client::close`] barrier,
-    /// whose verdict is authoritative). Returns as soon as the frame
-    /// is written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors (sticky — see
-    /// [`Client::request`]).
-    pub fn events(
-        &mut self,
-        session: u64,
-        events: Vec<monsem_monitor::TapeEvent>,
-    ) -> io::Result<()> {
-        self.check_fault()?;
-        if let Err(e) = write_frame(
-            &mut self.stream,
-            &Request::Events { session, events }.encode(),
-        ) {
-            return self.fail(e);
-        }
-        Ok(())
     }
 
     /// Hot-swaps a session's spec.

@@ -3,24 +3,22 @@
 //!
 //! Every message is a frame: a big-endian `u32` payload length followed
 //! by the payload. Payloads are tag-discriminated and use the same
-//! varint primitives as the tape format; events inside an
-//! [`Request::Events`] frame are encoded self-contained (no interning)
-//! so frames can be decoded independently of connection history.
+//! varint primitives as the tape format.
 //!
 //! # Batched, pipelined ingest
 //!
-//! [`Request::EventBatch`] carries its events as a complete tape image
-//! (the exact bytes [`crate::write_tape`] would produce), so a producer
-//! that already records to a tape can ship the same bytes — wire ==
-//! tape — and the per-tape string interning amortizes event names
-//! across the batch. Event frames are *fire-and-forget*: the server
+//! Events travel only as tape images: [`Request::EventBatch`] carries a
+//! complete image (the exact bytes [`crate::write_tape`] would produce),
+//! so a producer that already records to a tape can ship the same bytes
+//! — wire == tape — and the per-tape string interning amortizes event
+//! names across the batch. Each image decodes on its own, independently
+//! of connection history. Event frames are *fire-and-forget*: the server
 //! does not reply per frame but emits a cumulative [`Response::Ack`]
 //! every configured number of events, so the socket round-trip leaves
 //! the per-event path entirely. [`Request::Open`], [`Request::Swap`],
 //! and [`Request::Close`] remain strictly request/reply.
 
-use crate::wire::{put_ivarint, put_str, put_uvarint, ByteReader, WireError};
-use monsem_monitor::tape::{TapeEvent, TapePhase, ValueDesc};
+use crate::wire::{put_str, put_uvarint, ByteReader, WireError};
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -77,13 +75,6 @@ pub enum Request {
         /// reported in the session's [`Verdict`]).
         stream: Option<String>,
     },
-    /// Appends events to a session's tape.
-    Events {
-        /// The session to feed.
-        session: u64,
-        /// The events, in tape order.
-        events: Vec<TapeEvent>,
-    },
     /// Hot-swaps the session's spec, splicing state by replaying the
     /// session's bounded suffix window through the new automaton.
     Swap {
@@ -101,11 +92,13 @@ pub enum Request {
         /// The session to finish.
         session: u64,
     },
-    /// Appends a batch of events encoded as a complete tape image.
+    /// Appends a batch of events, encoded as a complete tape image, to a
+    /// session's tape.
     ///
-    /// Like [`Request::Events`] but fire-and-forget: the server replies
-    /// only with periodic cumulative [`Response::Ack`] frames (and an
-    /// error frame on failure), never per batch.
+    /// Posted fire-and-forget, the server replies only with periodic
+    /// cumulative [`Response::Ack`] frames (and an error frame on
+    /// failure), never per batch; sent as a synchronous request, it gets
+    /// the session's [`Verdict`].
     EventBatch {
         /// The session to feed.
         session: u64,
@@ -166,7 +159,9 @@ pub struct Verdict {
 }
 
 const REQ_OPEN: u8 = 0x01;
-const REQ_EVENTS: u8 = 0x02;
+// Tag 0x02 carried per-event frames, whose events travel as tape images
+// now. It is retired and never reused: an old peer's frame decodes to
+// `ProtoError::BadTag(0x02)`, never to another request.
 const REQ_SWAP: u8 = 0x03;
 const REQ_CLOSE: u8 = 0x04;
 const REQ_BATCH: u8 = 0x05;
@@ -175,96 +170,6 @@ const RESP_OK: u8 = 0x01;
 const RESP_ERR: u8 = 0x02;
 const RESP_VERDICT: u8 = 0x03;
 const RESP_ACK: u8 = 0x04;
-
-const EV_PRE: u8 = 0x01;
-const EV_POST: u8 = 0x02;
-const EV_DONE: u8 = 0x03;
-
-const FLAG_INT: u8 = 0x01;
-const FLAG_UNSORTED: u8 = 0x02;
-
-fn put_event(out: &mut Vec<u8>, ev: &TapeEvent) {
-    match ev.phase {
-        TapePhase::Pre => {
-            out.push(EV_PRE);
-            put_str(out, &ev.namespace);
-            put_str(out, &ev.name);
-            put_uvarint(out, ev.step);
-        }
-        TapePhase::Post => {
-            out.push(EV_POST);
-            put_str(out, &ev.namespace);
-            put_str(out, &ev.name);
-            put_uvarint(out, ev.step);
-            let desc = ev.value.clone().unwrap_or_default();
-            let mut flags = 0u8;
-            if desc.int.is_some() {
-                flags |= FLAG_INT;
-            }
-            if desc.unsorted {
-                flags |= FLAG_UNSORTED;
-            }
-            out.push(flags);
-            if let Some(n) = desc.int {
-                put_ivarint(out, n);
-            }
-            put_str(out, &desc.display);
-        }
-        TapePhase::Done => {
-            out.push(EV_DONE);
-            put_uvarint(out, ev.step);
-        }
-    }
-    put_opt_u64(out, ev.time);
-}
-
-fn read_event(r: &mut ByteReader<'_>) -> Result<TapeEvent, ProtoError> {
-    let mut ev = match r.u8()? {
-        EV_PRE => TapeEvent {
-            phase: TapePhase::Pre,
-            namespace: r.string()?,
-            name: r.string()?,
-            value: None,
-            step: r.uvarint()?,
-            time: None,
-        },
-        EV_POST => {
-            let namespace = r.string()?;
-            let name = r.string()?;
-            let step = r.uvarint()?;
-            let flags = r.u8()?;
-            let int = if flags & FLAG_INT != 0 {
-                Some(r.ivarint()?)
-            } else {
-                None
-            };
-            let display = r.string()?;
-            TapeEvent {
-                phase: TapePhase::Post,
-                namespace,
-                name,
-                value: Some(ValueDesc {
-                    int,
-                    unsorted: flags & FLAG_UNSORTED != 0,
-                    display,
-                }),
-                step,
-                time: None,
-            }
-        }
-        EV_DONE => TapeEvent {
-            phase: TapePhase::Done,
-            namespace: String::new(),
-            name: String::new(),
-            value: None,
-            step: r.uvarint()?,
-            time: None,
-        },
-        tag => return Err(ProtoError::BadTag(tag)),
-    };
-    ev.time = read_opt_u64(r)?;
-    Ok(ev)
-}
 
 fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
     match s {
@@ -317,14 +222,6 @@ impl Request {
                 put_str(&mut out, spec);
                 put_opt_str(&mut out, stream);
             }
-            Request::Events { session, events } => {
-                out.push(REQ_EVENTS);
-                put_uvarint(&mut out, *session);
-                put_uvarint(&mut out, events.len() as u64);
-                for ev in events {
-                    put_event(&mut out, ev);
-                }
-            }
             Request::Swap {
                 session,
                 spec,
@@ -363,15 +260,6 @@ impl Request {
                 spec: r.string()?,
                 stream: read_opt_str(&mut r)?,
             }),
-            REQ_EVENTS => {
-                let session = r.uvarint()?;
-                let count = r.uvarint()?;
-                let mut events = Vec::new();
-                for _ in 0..count {
-                    events.push(read_event(&mut r)?);
-                }
-                Ok(Request::Events { session, events })
-            }
             REQ_SWAP => Ok(Request::Swap {
                 session: r.uvarint()?,
                 spec: read_opt_str(&mut r)?,
@@ -619,11 +507,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 mod tests {
     use super::*;
     use monsem_core::Value;
+    use monsem_monitor::tape::TapeEvent;
     use monsem_syntax::Annotation;
 
     #[test]
     fn requests_roundtrip() {
-        let ann = Annotation::label("p");
         let reqs = vec![
             Request::Open {
                 session: 7,
@@ -636,14 +524,6 @@ mod tests {
                 enforcing: false,
                 spec: "never(post(b))".to_string(),
                 stream: None,
-            },
-            Request::Events {
-                session: 7,
-                events: vec![
-                    TapeEvent::pre(&ann, 0).at(12),
-                    TapeEvent::post(&ann, &Value::Int(-3), 1),
-                    TapeEvent::done(2).at(90),
-                ],
             },
             Request::Swap {
                 session: 7,
@@ -660,6 +540,14 @@ mod tests {
         for req in reqs {
             assert_eq!(Request::decode(&req.encode()).unwrap(), req);
         }
+    }
+
+    #[test]
+    fn the_retired_per_event_tag_is_a_typed_error() {
+        // A per-event frame as old peers encoded it: tag, session, one
+        // `done` event.
+        let payload = [0x02, 7, 1, 0x03, 0, 0];
+        assert_eq!(Request::decode(&payload), Err(ProtoError::BadTag(0x02)));
     }
 
     #[test]

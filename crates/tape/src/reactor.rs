@@ -486,7 +486,7 @@ fn process_frames(conn: &mut Conn, server: &MonitorServer, shared: &Arc<Shared>,
             }
         };
         match Request::decode(&payload) {
-            Ok(req @ (Request::Events { .. } | Request::EventBatch { .. })) => {
+            Ok(req @ Request::EventBatch { .. }) => {
                 let session = crate::server::req_session(&req);
                 let sink = ReactorSink {
                     shared: Arc::clone(shared),

@@ -24,9 +24,9 @@
 //!   verdict flags `swap_truncated`: the new spec judged only the
 //!   suffix it could see.
 //! * **Pipelined ingest** — event frames can bypass the request/reply
-//!   round-trip entirely: [`MonitorServer::post`] enqueues an
-//!   [`Request::Events`] or [`Request::EventBatch`] fire-and-forget,
-//!   and the shard emits a cumulative [`Response::Ack`] every
+//!   round-trip entirely: [`MonitorServer::post`] enqueues a
+//!   [`Request::EventBatch`] fire-and-forget, and the shard emits a
+//!   cumulative [`Response::Ack`] every
 //!   [`ServerConfig::ack_every`] ingested events. The shard table
 //!   itself is a plain immutable array — routing an event costs an
 //!   index and a channel send, no lock and no allocation.
@@ -45,12 +45,15 @@
 //!   stream check is always observing, survives safety-spec swaps, and
 //!   can itself be hot-swapped (splicing by the same window replay).
 
-use crate::format::ViewDecoder;
+use crate::format::{write_tape, ViewDecoder};
 use crate::proto::{Request, Response, Verdict};
-use monsem_monitor::tape::{fold_owned, EventView, OwnedViews, Strings, TapeEvent, TapePhase};
+use monsem_monitor::tape::{
+    fold_owned, fold_through, fold_views, EventView, Resolution, Strings, TapeEvent, TapeFold,
+    TapePhase,
+};
 use monsem_monitor::{BatchEnd, Budget, FaultPolicy, GuardState, Guarded, Health, Monitor};
-use monsem_stream::{StreamMonitor, StreamResolution, StreamState};
-use monsem_tspec::{SpecMonitor, SpecResolution, SpecState, DEFAULT_REPLAY_CAP};
+use monsem_stream::{StreamMonitor, StreamState};
+use monsem_tspec::{SpecMonitor, SpecState, DEFAULT_REPLAY_CAP};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -197,13 +200,14 @@ pub struct MonitorServer {
 struct Session {
     guard: Guarded<SpecMonitor>,
     gs: GuardState<SpecState>,
-    /// The safety spec's resolution of the batch being folded.
-    resolution: SpecResolution,
+    /// The resolution of the batch being folded, reused by each spec in
+    /// turn.
+    resolution: Resolution,
     /// The optional stream-SLO check riding next to the safety spec.
     /// Always *observing* — an SLO verdict reports, it never vetoes
     /// ingest — and outside the guard: its evaluation is statically
     /// memory-bounded and cannot panic on event data.
-    stream: Option<(StreamMonitor, StreamState, StreamResolution)>,
+    stream: Option<(StreamMonitor, StreamState)>,
     enforcing: bool,
     window: Window,
     /// Checkpoint interval in ingested events (0 = off): at each
@@ -219,18 +223,12 @@ struct Session {
     swap_truncated: bool,
 }
 
-/// A batch as it arrived: the tape image of an `EventBatch`, or the
-/// events of a per-event request. The replay window keeps batches whole
-/// and views them again on a swap, so ingest copies no event into it.
-enum Batch {
-    Image(Vec<u8>),
-    Events(Vec<TapeEvent>),
-}
-
-/// The last `cap` folded events of a session, as the batches they came
-/// in: events `first..end` of each batch are in the window.
+/// The last `cap` folded events of a session, as the tape images of the
+/// batches they came in: events `first..end` of each image are in the
+/// window. A swap views the images again, so ingest copies no event into
+/// the window.
 struct Window {
-    batches: VecDeque<(Batch, usize, usize)>,
+    batches: VecDeque<(Vec<u8>, usize, usize)>,
     len: usize,
     cap: usize,
     /// Events that have left the window, to the cap or to compaction.
@@ -249,7 +247,7 @@ impl Window {
 
     /// Appends events `first..end` of `batch`, then trims the oldest
     /// events past the cap.
-    fn push(&mut self, batch: Batch, first: usize, end: usize) {
+    fn push(&mut self, batch: Vec<u8>, first: usize, end: usize) {
         if first >= end {
             return;
         }
@@ -280,33 +278,31 @@ impl Window {
         self.len = 0;
     }
 
-    /// Views the window's events, batch by batch, oldest first.
-    fn replay(&self, decoder: &mut ViewDecoder, mut fold: impl FnMut(&[EventView], &dyn Strings)) {
-        for (batch, first, end) in &self.batches {
-            match batch {
-                Batch::Image(image) => {
-                    let decoded = decoder
-                        .decode(image)
-                        .expect("a kept image decoded when it arrived");
-                    fold(&decoded.events()[*first..*end], &decoded);
-                }
-                Batch::Events(events) => {
-                    let views = OwnedViews::of(events);
-                    fold(&views.views()[*first..*end], &views);
-                }
-            }
+    /// The splice of a swap to `m`, of either kind: the window's events
+    /// folded through `m` from its initial state, batch by batch, oldest
+    /// first. Returns the state and the step of the earliest violating
+    /// event the fold saw.
+    fn splice<M: TapeFold>(
+        &self,
+        m: &M,
+        decoder: &mut ViewDecoder,
+        res: &mut Resolution,
+    ) -> (M::State, Option<u64>) {
+        let (mut state, mut earliest) = (m.initial_state(), None);
+        for (image, first, end) in &self.batches {
+            let decoded = decoder
+                .decode(image)
+                .expect("a kept image decoded when it arrived");
+            let views = &decoded.events()[*first..*end];
+            fold_through(m, &mut state, views, &decoded, res, &mut earliest);
         }
+        (state, earliest)
     }
 }
 
-fn stream_monitor(
-    src: &str,
-    session: u64,
-) -> Result<(StreamMonitor, StreamState, StreamResolution), String> {
-    let m = StreamMonitor::new(format!("session-{session}-stream"), src)
-        .map_err(|e| format!("stream spec: {e}"))?;
-    let s = m.initial_state();
-    Ok((m, s, StreamResolution::default()))
+fn stream_monitor(src: &str, session: u64) -> Result<StreamMonitor, String> {
+    StreamMonitor::new(format!("session-{session}-stream"), src)
+        .map_err(|e| format!("stream spec: {e}"))
 }
 
 impl Session {
@@ -323,6 +319,10 @@ impl Session {
             monitor = monitor.enforcing();
         }
         let stream = stream.map(|src| stream_monitor(src, session)).transpose()?;
+        let stream = stream.map(|m| {
+            let s = m.initial_state();
+            (m, s)
+        });
         let guard = Guarded::new(monitor)
             .policy(config.policy)
             .budget(config.budget);
@@ -330,7 +330,7 @@ impl Session {
         Ok(Session {
             guard,
             gs,
-            resolution: SpecResolution::default(),
+            resolution: Resolution::default(),
             stream,
             enforcing,
             window: Window::new(config.swap_window),
@@ -359,8 +359,8 @@ impl Session {
             earliest_violation: self.earliest_violation,
             accepted: self.accepted,
             swap_truncated: self.swap_truncated,
-            firings: self.stream.as_ref().map_or(0, |(_, s, _)| s.fired_total),
-            missed: self.stream.as_ref().map_or(0, |(_, s, _)| s.missed_total),
+            firings: self.stream.as_ref().map_or(0, |(_, s)| s.fired_total),
+            missed: self.stream.as_ref().map_or(0, |(_, s)| s.missed_total),
         }
     }
 
@@ -403,9 +403,15 @@ impl Session {
             self.accepted = Some(false);
             live = index + 1;
         }
-        if let Some((m, s, res)) = &mut self.stream {
-            res.reset();
-            m.fold_views(s, &views[..live], strings, res);
+        if let Some((m, s)) = &mut self.stream {
+            fold_views(
+                m,
+                s,
+                &views[..live],
+                strings,
+                &mut self.resolution,
+                &mut None,
+            );
         }
         if let (Some(i), false) = (done, aborted) {
             self.finish(views[i].time);
@@ -416,7 +422,7 @@ impl Session {
     /// Keeps the first `live` of a just-folded batch's `n` events in the
     /// replay window, compacting it at the last checkpoint boundary the
     /// batch crossed. `before` is `ingested` before the batch.
-    fn keep(&mut self, batch: Batch, before: u64, n: usize, live: usize) {
+    fn keep(&mut self, batch: Vec<u8>, before: u64, n: usize, live: usize) {
         let mut first = 0;
         if self.checkpoint_every > 0 {
             let every = self.checkpoint_every as u64;
@@ -436,7 +442,7 @@ impl Session {
     /// `end_time` is the `done` marker's timestamp (for deadline
     /// end-gap checks), when the tape carries one.
     fn finish(&mut self, end_time: Option<u64>) {
-        if let Some((m, s, _)) = &mut self.stream {
+        if let Some((m, s)) = &mut self.stream {
             *s = m.finish(s, end_time);
         }
         let gs = &mut self.gs;
@@ -484,12 +490,7 @@ impl Session {
             .transpose()?;
         let new_stream = stream.map(|src| stream_monitor(src, session)).transpose()?;
         if let Some(monitor) = new_safety {
-            let (mut state, mut earliest) = (monitor.initial_state(), None);
-            let res = &mut self.resolution;
-            self.window.replay(decoder, |views, strings| {
-                res.reset();
-                monitor.fold_through(&mut state, views, strings, res, &mut earliest);
-            });
+            let (state, earliest) = self.window.splice(&monitor, decoder, &mut self.resolution);
             let guard = Guarded::new(monitor)
                 .policy(config.policy)
                 .budget(config.budget);
@@ -499,12 +500,9 @@ impl Session {
             self.gs = gs;
             self.earliest_violation = earliest;
         }
-        if let Some((m, mut s, mut res)) = new_stream {
-            self.window.replay(decoder, |views, strings| {
-                res.reset();
-                m.fold_through(&mut s, views, strings, &mut res);
-            });
-            self.stream = Some((m, s, res));
+        if let Some(m) = new_stream {
+            let (s, _) = self.window.splice(&m, decoder, &mut self.resolution);
+            self.stream = Some((m, s));
         }
         if spec.is_some() || stream.is_some() {
             self.swap_truncated = self.window.dropped > 0;
@@ -529,10 +527,16 @@ pub fn splice_state<'a>(
     window: impl IntoIterator<Item = &'a TapeEvent>,
 ) -> (SpecState, Option<u64>) {
     let (mut state, mut earliest) = (monitor.initial_state(), None);
-    let mut res = SpecResolution::default();
-    fold_owned(window, |chunk| {
-        res.reset();
-        monitor.fold_through(&mut state, chunk.views(), chunk, &mut res, &mut earliest);
+    let mut res = Resolution::default();
+    fold_owned(window, |run| {
+        fold_through(
+            monitor,
+            &mut state,
+            run.views(),
+            run,
+            &mut res,
+            &mut earliest,
+        );
         true
     });
     (state, earliest)
@@ -541,45 +545,30 @@ pub fn splice_state<'a>(
 pub(crate) fn req_session(req: &Request) -> u64 {
     match req {
         Request::Open { session, .. }
-        | Request::Events { session, .. }
         | Request::Swap { session, .. }
         | Request::Close { session }
         | Request::EventBatch { session, .. } => *session,
     }
 }
 
-/// Folds an event request into its session: a batch's tape image is
-/// decoded into views by the shard's decoder, a per-event request's
-/// events are viewed where they are, and both take the same batch fold
-/// and land in the replay window whole. Returns the session id.
+/// Folds a batch into its session: the tape image is decoded into views
+/// by the shard's decoder, folded, and kept whole in the replay window.
 fn ingest(
     sessions: &mut HashMap<u64, Session>,
     decoder: &mut ViewDecoder,
-    req: Request,
-) -> Result<u64, String> {
-    let missing = |session| format!("no such session {session}");
-    match req {
-        Request::EventBatch { session, tape } => {
-            let decoded = decoder
-                .decode(&tape)
-                .map_err(|e| format!("batch for session {session}: {e}"))?;
-            let s = sessions.get_mut(&session).ok_or_else(|| missing(session))?;
-            let (before, n) = (s.ingested, decoded.events().len());
-            let live = s.fold(decoded.events(), &decoded);
-            s.keep(Batch::Image(tape), before, n, live);
-            Ok(session)
-        }
-        Request::Events { session, events } => {
-            let s = sessions.get_mut(&session).ok_or_else(|| missing(session))?;
-            let views = OwnedViews::of(&events);
-            let (before, n) = (s.ingested, events.len());
-            let live = s.fold(views.views(), &views);
-            drop(views);
-            s.keep(Batch::Events(events), before, n, live);
-            Ok(session)
-        }
-        _ => unreachable!("only event requests are ingested"),
-    }
+    session: u64,
+    tape: Vec<u8>,
+) -> Result<(), String> {
+    let decoded = decoder
+        .decode(&tape)
+        .map_err(|e| format!("batch for session {session}: {e}"))?;
+    let s = sessions
+        .get_mut(&session)
+        .ok_or_else(|| format!("no such session {session}"))?;
+    let (before, n) = (s.ingested, decoded.events().len());
+    let live = s.fold(decoded.events(), &decoded);
+    s.keep(tape, before, n, live);
+    Ok(())
 }
 
 fn handle(
@@ -601,12 +590,10 @@ fn handle(
             }
             Err(e) => Response::Err(format!("open session {session}: {e}")),
         },
-        req @ (Request::Events { .. } | Request::EventBatch { .. }) => {
-            match ingest(sessions, decoder, req) {
-                Ok(session) => Response::Verdict(sessions[&session].verdict(session)),
-                Err(e) => Response::Err(e),
-            }
-        }
+        Request::EventBatch { session, tape } => match ingest(sessions, decoder, session, tape) {
+            Ok(()) => Response::Verdict(sessions[&session].verdict(session)),
+            Err(e) => Response::Err(e),
+        },
         Request::Swap {
             session,
             spec,
@@ -644,22 +631,20 @@ fn worker(rx: Receiver<Job>, config: ServerConfig) {
                 let _ = reply.send(resp);
             }
             Job::Req(req, Reply::Acked(sink)) => {
+                let session = req_session(&req);
                 let folded = match req {
-                    Request::Events { .. } | Request::EventBatch { .. } => {
-                        ingest(&mut sessions, &mut decoder, req)
+                    Request::EventBatch { session, tape } => {
+                        ingest(&mut sessions, &mut decoder, session, tape)
                     }
                     // A control request posted here is applied; only an
                     // error reply is delivered.
-                    req => {
-                        let session = req_session(&req);
-                        match handle(&mut sessions, &config, &mut decoder, req) {
-                            Response::Err(e) => Err(e),
-                            _ => Ok(session),
-                        }
-                    }
+                    req => match handle(&mut sessions, &config, &mut decoder, req) {
+                        Response::Err(e) => Err(e),
+                        _ => Ok(()),
+                    },
                 };
                 match folded {
-                    Ok(session) => {
+                    Ok(()) => {
                         // Folded. Ack cumulatively once the window
                         // fills; a declined ack just defers to a later
                         // boundary (never to before the fold — the
@@ -747,8 +732,8 @@ impl MonitorServer {
     /// Returns `false` if the server is shut down (nothing was
     /// enqueued).
     ///
-    /// Meant for [`Request::Events`] and [`Request::EventBatch`] only —
-    /// control requests belong on the synchronous
+    /// Meant for [`Request::EventBatch`] only — control requests belong
+    /// on the synchronous
     /// [`MonitorServer::request`] path (posting one here folds it but
     /// discards its non-error reply). Blocks while the shard queue is
     /// full, like [`MonitorServer::request`].
@@ -800,9 +785,13 @@ impl MonitorServer {
         })
     }
 
-    /// Streams events into a session.
-    pub fn events(&self, session: u64, events: Vec<TapeEvent>) -> Response {
-        self.request(Request::Events { session, events })
+    /// Streams events into a session as one [`Request::EventBatch`] and
+    /// waits for the session's verdict.
+    pub fn events(&self, session: u64, events: &[TapeEvent]) -> Response {
+        self.request(Request::EventBatch {
+            session,
+            tape: write_tape(events),
+        })
     }
 
     /// Hot-swaps a session's safety spec (the stream spec, if any,
@@ -884,7 +873,7 @@ mod tests {
     fn session_lifecycle_reports_the_violation() {
         let server = MonitorServer::start(ServerConfig::default());
         assert_eq!(server.open(1, "never(post(b))", false), Response::Ok);
-        let v = verdict(server.events(1, vec![post("a", 1, 0), post("b", 2, 1)]));
+        let v = verdict(server.events(1, &[post("a", 1, 0), post("b", 2, 1)]));
         assert_eq!(v.ingested, 2);
         assert!(v.violation.as_deref().unwrap().contains("post b"));
         assert_eq!(v.earliest_violation, Some(1));
@@ -892,7 +881,7 @@ mod tests {
         let v = verdict(server.close(1));
         assert_eq!(v.accepted, Some(false));
         // The session is gone after close.
-        assert!(matches!(server.events(1, vec![]), Response::Err(_)));
+        assert!(matches!(server.events(1, &[]), Response::Err(_)));
         server.shutdown();
     }
 
@@ -900,10 +889,7 @@ mod tests {
     fn done_event_pins_acceptance() {
         let server = MonitorServer::start(ServerConfig::default());
         server.open(2, "eventually(post(b))", false);
-        let v = verdict(server.events(
-            2,
-            vec![post("a", 1, 0), post("b", 2, 1), TapeEvent::done(2)],
-        ));
+        let v = verdict(server.events(2, &[post("a", 1, 0), post("b", 2, 1), TapeEvent::done(2)]));
         assert_eq!(v.accepted, Some(true));
         assert_eq!(v.violation, None);
         server.shutdown();
@@ -913,7 +899,7 @@ mod tests {
     fn swap_splices_from_the_window() {
         let server = MonitorServer::start(ServerConfig::default());
         server.open(3, "never(post(zzz))", false);
-        verdict(server.events(3, vec![post("p", 5, 0), post("p", -5, 1)]));
+        verdict(server.events(3, &[post("p", 5, 0), post("p", -5, 1)]));
         // The new spec sees the replayed suffix and flags the -5.
         let v = verdict(server.swap(3, "always(post(p) => value > 0)"));
         assert!(v.violation.as_deref().unwrap().contains("post p = -5"));
@@ -930,7 +916,7 @@ mod tests {
         };
         let server = MonitorServer::start(config);
         server.open(4, "never(post(zzz))", false);
-        verdict(server.events(4, vec![post("p", -5, 0), post("p", 1, 1), post("p", 2, 2)]));
+        verdict(server.events(4, &[post("p", -5, 0), post("p", 1, 1), post("p", 2, 2)]));
         // The violating step 0 fell out of the 2-event window.
         let v = verdict(server.swap(4, "always(post(p) => value > 0)"));
         assert_eq!(v.violation, None, "the evidence is out of the window");
@@ -950,9 +936,9 @@ mod tests {
             ),
             Response::Ok
         );
-        let v = verdict(server.events(7, vec![post("p", -1, 0), post("p", 3, 1)]));
+        let v = verdict(server.events(7, &[post("p", -1, 0), post("p", 3, 1)]));
         assert_eq!(v.firings, 0, "one negative is below the trigger");
-        let v = verdict(server.events(7, vec![post("p", -2, 2)]));
+        let v = verdict(server.events(7, &[post("p", -2, 2)]));
         assert_eq!(v.firings, 1);
         assert_eq!(v.violation, None, "SLO firings are not safety violations");
         // A safety-spec swap keeps the stream state in force.
@@ -979,9 +965,9 @@ mod tests {
         let beat = |v: i64, step: u64, t: u64| {
             TapeEvent::post(&Annotation::label("beat"), &Value::Int(v), step).at(t)
         };
-        let v = verdict(server.events(8, vec![beat(1, 0, 0), beat(1, 1, 40), beat(1, 2, 200)]));
+        let v = verdict(server.events(8, &[beat(1, 0, 0), beat(1, 1, 40), beat(1, 2, 200)]));
         assert_eq!(v.missed, 1, "one 160 ms gap against a 50 ms period");
-        let v = verdict(server.events(8, vec![TapeEvent::done(3).at(400)]));
+        let v = verdict(server.events(8, &[TapeEvent::done(3).at(400)]));
         assert_eq!(v.missed, 2, "the end-of-trace gap misses again");
         assert_eq!(v.accepted, Some(true));
         server.shutdown();
@@ -1005,28 +991,8 @@ mod tests {
     #[test]
     fn unknown_sessions_and_bad_specs_error() {
         let server = MonitorServer::start(ServerConfig::default());
-        assert!(matches!(server.events(9, vec![]), Response::Err(_)));
+        assert!(matches!(server.events(9, &[]), Response::Err(_)));
         assert!(matches!(server.open(9, "always(", false), Response::Err(_)));
-        server.shutdown();
-    }
-
-    #[test]
-    fn batched_ingest_matches_per_event_ingest() {
-        let server = MonitorServer::start(ServerConfig::default());
-        let events = vec![post("p", 5, 0), post("p", -5, 1), post("p", 7, 2)];
-        server.open(10, "always(post(p) => value > 0)", false);
-        server.open(11, "always(post(p) => value > 0)", false);
-        let per_event = verdict(server.events(10, events.clone()));
-        let batched = verdict(server.request(Request::EventBatch {
-            session: 11,
-            tape: crate::write_tape(&events),
-        }));
-        assert_eq!(per_event.ingested, batched.ingested);
-        // Violation messages embed the session name; compare modulo it.
-        for v in [&per_event, &batched] {
-            assert!(v.violation.as_deref().unwrap().contains("post p = -5"));
-        }
-        assert_eq!(per_event.earliest_violation, batched.earliest_violation);
         server.shutdown();
     }
 
@@ -1078,9 +1044,9 @@ mod tests {
         let server = MonitorServer::start(ServerConfig::default());
         let (out, errs) = sync_channel(4);
         assert!(server.post(
-            Request::Events {
+            Request::EventBatch {
                 session: 99,
-                events: vec![post("p", 1, 0)],
+                tape: crate::write_tape(&[post("p", 1, 0)]),
             },
             out,
         ));
@@ -1100,7 +1066,7 @@ mod tests {
         // ingested = 4, so the compacted window cannot re-judge it.
         verdict(server.events(
             13,
-            vec![
+            &[
                 post("p", 5, 0),
                 post("p", -5, 1),
                 post("p", 6, 2),
@@ -1130,9 +1096,9 @@ mod tests {
         let last_step = 29;
         for step in 0..=last_step {
             assert!(server.post(
-                Request::Events {
+                Request::EventBatch {
                     session: 14,
-                    events: vec![post("p", 1, step)],
+                    tape: crate::write_tape(&[post("p", 1, step)]),
                 },
                 out.clone(),
             ));
@@ -1155,9 +1121,9 @@ mod tests {
         // And the intake really is closed.
         assert!(matches!(server.close(14), Response::Err(_)));
         assert!(!server.post(
-            Request::Events {
+            Request::EventBatch {
                 session: 14,
-                events: vec![],
+                tape: crate::write_tape(&[]),
             },
             sync_channel(1).0,
         ));
@@ -1171,7 +1137,7 @@ mod tests {
         };
         let server = MonitorServer::start(config);
         server.open(5, "never(post(b))", true);
-        let v = verdict(server.events(5, vec![post("b", 1, 0), post("a", 2, 1)]));
+        let v = verdict(server.events(5, &[post("b", 1, 0), post("a", 2, 1)]));
         assert_eq!(v.accepted, Some(false), "enforcing abort ends the trace");
         assert_eq!(v.ingested, 2, "late events are counted, not judged");
         assert_eq!(v.earliest_violation, Some(0));

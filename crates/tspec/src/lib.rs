@@ -71,8 +71,8 @@ use std::sync::Arc;
 pub use ast::{Atom, CmpOp, NamePat, Pred, SpecExpr};
 pub use automaton::{Alphabet, Automaton, CompileOptions, Phase, MAX_LETTERS, MAX_STATES};
 pub use monitor::{
-    CheckFold, ShardTape, SpecCore, SpecMonitor, SpecResolution, SpecState, TapeCheck, TapeOutcome,
-    TraceRing, DEFAULT_REPLAY_CAP, DEFAULT_TRACE_CAP,
+    ShardTape, SpecCore, SpecMonitor, SpecState, TapeCheck, TapeOutcome, TraceRing,
+    DEFAULT_REPLAY_CAP, DEFAULT_TRACE_CAP,
 };
 pub use parser::{parse_pred_atom_tokens, parse_pred_tokens, parse_spec};
 

@@ -20,8 +20,8 @@ use crate::automaton::Automaton;
 use crate::{Spec, SpecError};
 use monsem_core::Value;
 use monsem_monitor::tape::{
-    fold_owned, same_text, short_display, EventView, FoldEnd, Strings, TapeEvent, TapePhase,
-    NO_STRING,
+    same_text, short_display, Check, EventView, Resolution, Strings, TapeEvent, TapeFold,
+    TapePhase, NO_STRING,
 };
 use monsem_monitor::{HookPhase, MergeMonitor, Monitor, Outcome, Scope};
 use monsem_syntax::{Annotation, Expr, Namespace};
@@ -321,70 +321,6 @@ impl SpecState {
     }
 }
 
-/// A string table resolved against one [`SpecMonitor`]: per string id,
-/// whether it is the watched namespace and which name class it denotes.
-/// Filled lazily as a fold meets each id, so every string is resolved at
-/// most once per table, and never interned. The buffers are reused:
-/// [`SpecResolution::reset`] before each new table.
-#[derive(Debug, Clone, Default)]
-pub struct SpecResolution {
-    ours: Vec<u8>,
-    class: Vec<u32>,
-}
-
-const UNRESOLVED: u32 = u32::MAX;
-
-impl SpecResolution {
-    /// Forgets the previous table's ids, keeping the buffers.
-    pub fn reset(&mut self) {
-        self.ours.clear();
-        self.class.clear();
-    }
-
-    fn ours(&mut self, m: &SpecMonitor, id: u32, strings: &dyn Strings) -> bool {
-        if id == NO_STRING {
-            return m.namespace.as_str().is_empty();
-        }
-        let i = id as usize;
-        if i >= self.ours.len() {
-            self.ours.resize(i + 1, 0);
-        }
-        if self.ours[i] == 0 {
-            self.ours[i] = if same_text(strings.get(id), m.namespace.as_str()) {
-                1
-            } else {
-                2
-            };
-        }
-        self.ours[i] == 1
-    }
-
-    fn class(&mut self, m: &SpecMonitor, id: u32, strings: &dyn Strings) -> usize {
-        if id == NO_STRING {
-            return m.automaton().alphabet().name_class_of("");
-        }
-        let i = id as usize;
-        if i >= self.class.len() {
-            self.class.resize(i + 1, UNRESOLVED);
-        }
-        if self.class[i] == UNRESOLVED {
-            self.class[i] = m.automaton().alphabet().name_class_of(strings.get(id)) as u32;
-        }
-        self.class[i] as usize
-    }
-}
-
-/// An offline check in progress: the state of
-/// [`SpecMonitor::check_tape_seeded`] between runs of event views.
-#[derive(Debug)]
-pub struct CheckFold {
-    state: SpecState,
-    earliest: Option<u64>,
-    completed: bool,
-    aborted: bool,
-    resolution: SpecResolution,
-}
-
 fn short_value(v: &Value) -> String {
     short_display(v)
 }
@@ -540,30 +476,6 @@ impl SpecMonitor {
         Outcome::Continue(())
     }
 
-    /// Folds one event view in place — the step every tape path takes:
-    /// the event's strings resolve through `res` (once per id and table),
-    /// the letter's gate and transition are table loads, and the ring
-    /// keeps the event as ids until its fold ends. Records the step of
-    /// the event that first enters a violation in `earliest`.
-    ///
-    /// `done` markers and foreign-namespace events leave the state
-    /// untouched. After the last event of a table, call
-    /// [`SpecMonitor::end_views`] so the ring stops referring to it.
-    pub fn fold_view(
-        &self,
-        s: &mut SpecState,
-        ev: &EventView,
-        strings: &dyn Strings,
-        res: &mut SpecResolution,
-        earliest: &mut Option<u64>,
-    ) -> Outcome<()> {
-        if ev.phase == TapePhase::Done || !res.ours(self, ev.namespace, strings) {
-            return Outcome::Continue(());
-        }
-        let nc = res.class(self, ev.name, strings);
-        self.fold_classified(s, ev, nc, strings, earliest)
-    }
-
     fn fold_classified(
         &self,
         s: &mut SpecState,
@@ -587,57 +499,6 @@ impl SpecMonitor {
             *earliest = Some(ev.step);
         }
         out
-    }
-
-    /// Renders the ring entries that still refer to `strings`: the end of
-    /// a fold over one string table.
-    pub fn end_views(&self, s: &mut SpecState, strings: &dyn Strings) {
-        s.trace.render_pending(strings);
-    }
-
-    /// Folds a run of event views (one string table) until its end, a
-    /// `done` marker, or an abort verdict — the batch fold behind every
-    /// tape path. Ends the table ([`SpecMonitor::end_views`]) before
-    /// returning.
-    pub fn fold_views(
-        &self,
-        s: &mut SpecState,
-        views: &[EventView],
-        strings: &dyn Strings,
-        res: &mut SpecResolution,
-        earliest: &mut Option<u64>,
-    ) -> FoldEnd {
-        let mut end = FoldEnd::End;
-        for (i, ev) in views.iter().enumerate() {
-            if ev.phase == TapePhase::Done {
-                end = FoldEnd::Done(i);
-                break;
-            }
-            if let Outcome::Abort { .. } = self.fold_view(s, ev, strings, res, earliest) {
-                end = FoldEnd::Abort(i);
-                break;
-            }
-        }
-        self.end_views(s, strings);
-        end
-    }
-
-    /// [`SpecMonitor::fold_views`] over every event: `done` markers and
-    /// abort verdicts are passed over, as hot-swap splicing and
-    /// checkpoint writing need.
-    pub fn fold_through(
-        &self,
-        s: &mut SpecState,
-        mut views: &[EventView],
-        strings: &dyn Strings,
-        res: &mut SpecResolution,
-        earliest: &mut Option<u64>,
-    ) {
-        while let FoldEnd::Done(i) | FoldEnd::Abort(i) =
-            self.fold_views(s, views, strings, res, earliest)
-        {
-            views = &views[i + 1..];
-        }
     }
 
     /// Ends the trace: feeds the synthetic `done` event and checks that
@@ -690,7 +551,7 @@ impl SpecMonitor {
     /// handled by [`SpecMonitor::check_tape`] via [`SpecMonitor::finish`]
     /// — leave the state untouched.
     ///
-    /// This is the one-event case of [`SpecMonitor::fold_view`].
+    /// This is the one-event case of [`TapeFold::fold_view`].
     pub fn advance_tape_event(&self, mut state: SpecState, ev: &TapeEvent) -> Outcome<SpecState> {
         if ev.phase == TapePhase::Done || !same_text(&ev.namespace, self.namespace.as_str()) {
             return Outcome::Continue(state);
@@ -698,7 +559,7 @@ impl SpecMonitor {
         let views = OwnedEvent::of(ev);
         let nc = self.automaton().alphabet().name_class_of(&ev.name);
         let out = self.fold_classified(&mut state, &views.view, nc, &views, &mut None);
-        self.end_views(&mut state, &views);
+        state.trace.render_pending(&views);
         match out {
             Outcome::Continue(()) => Outcome::Continue(state),
             Outcome::Abort {
@@ -732,74 +593,26 @@ impl SpecMonitor {
     /// the caller to merge; violations discovered *during* this replay
     /// are stamped with their tape step as usual.
     ///
-    /// An adapter over [`SpecMonitor::check_views`]: the events are
-    /// folded as views, a chunk at a time.
+    /// An adapter over [`Check`]: the events are folded as views, a run
+    /// at a time.
     pub fn check_tape_seeded<'a>(
         &self,
         seed: SpecState,
         events: impl IntoIterator<Item = &'a TapeEvent>,
     ) -> TapeCheck {
-        let mut fold = self.check_fold(seed);
-        fold_owned(events, |chunk| {
-            self.check_views(&mut fold, chunk.views(), chunk)
-        });
-        self.check_result(fold)
-    }
-
-    /// Starts an offline check from `seed`.
-    pub fn check_fold(&self, seed: SpecState) -> CheckFold {
-        CheckFold {
-            state: seed,
-            earliest: None,
-            completed: false,
-            aborted: false,
-            resolution: SpecResolution::default(),
-        }
-    }
-
-    /// Feeds one run of event views (one string table) to a check.
-    /// Returns `false` once the check has concluded — at a `done` marker,
-    /// or at an enforcing monitor's first violation — and folds nothing
-    /// after that.
-    pub fn check_views(
-        &self,
-        fold: &mut CheckFold,
-        views: &[EventView],
-        strings: &dyn Strings,
-    ) -> bool {
-        if fold.completed || fold.aborted {
-            return false;
-        }
-        fold.resolution.reset();
-        match self.fold_views(
-            &mut fold.state,
-            views,
-            strings,
-            &mut fold.resolution,
-            &mut fold.earliest,
-        ) {
-            FoldEnd::End => true,
-            FoldEnd::Done(_) => {
-                fold.completed = true;
-                false
-            }
-            FoldEnd::Abort(_) => {
-                fold.aborted = true;
-                false
-            }
-        }
+        self.check_result(Check::owned(self, seed, events))
     }
 
     /// The verdict of a check: closes the trace with
     /// [`SpecMonitor::finish`] if a `done` marker was folded.
-    pub fn check_result(&self, fold: CheckFold) -> TapeCheck {
-        let CheckFold {
+    pub fn check_result(&self, check: Check<SpecState>) -> TapeCheck {
+        let Check {
             state,
             earliest,
             completed,
             aborted,
             ..
-        } = fold;
+        } = check;
         if aborted {
             return TapeCheck {
                 outcome: TapeOutcome::Violated(
@@ -844,6 +657,36 @@ impl SpecMonitor {
                 state,
             }
         }
+    }
+}
+
+impl TapeFold for SpecMonitor {
+    /// The step every tape path takes: the event's strings resolve
+    /// through `res`, the letter's gate and transition are table loads,
+    /// and the ring keeps the event as ids until its fold ends.
+    /// `done` markers and foreign-namespace events leave the state
+    /// untouched.
+    #[inline]
+    fn fold_view(
+        &self,
+        s: &mut SpecState,
+        ev: &EventView,
+        strings: &dyn Strings,
+        res: &mut Resolution,
+        earliest: &mut Option<u64>,
+    ) -> Outcome<()> {
+        if ev.phase == TapePhase::Done || !res.ours(ev.namespace, strings, self.namespace.as_str())
+        {
+            return Outcome::Continue(());
+        }
+        let alphabet = self.automaton().alphabet();
+        let nc = res.name(ev.name, strings, |name| alphabet.name_class_of(name) as u32);
+        self.fold_classified(s, ev, nc as usize, strings, earliest)
+    }
+
+    /// Renders the ring entries that still refer to `strings`.
+    fn end_views(&self, s: &mut SpecState, strings: &dyn Strings) {
+        s.trace.render_pending(strings);
     }
 }
 

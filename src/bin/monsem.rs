@@ -271,7 +271,8 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    use monitoring_semantics::stream::{StreamMonitor, StreamResolution};
+    use monitoring_semantics::monitor::tape::Check;
+    use monitoring_semantics::stream::StreamMonitor;
     use monitoring_semantics::tape::{check_stream_from, check_tape_from, ViewDecoder};
     use monitoring_semantics::tspec::{SpecMonitor, TapeOutcome};
     use monitoring_semantics::Monitor;
@@ -319,9 +320,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
                 seeded.check
             }
             None => {
-                let mut fold = monitor.check_fold(monitor.initial_state());
-                monitor.check_views(&mut fold, tape.events(), &tape);
-                monitor.check_result(fold)
+                let mut check = Check::new(monitor.initial_state());
+                check.fold(&monitor, tape.events(), &tape);
+                monitor.check_result(check)
             }
         };
         match &check.outcome {
@@ -362,10 +363,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
                 seeded.check
             }
             None => {
-                let mut state = monitor.initial_state();
-                let mut res = StreamResolution::default();
-                let completed = monitor.check_views(&mut state, tape.events(), &tape, &mut res);
-                monitor.check_result(state, completed)
+                let mut check = Check::new(monitor.initial_state());
+                check.fold(&monitor, tape.events(), &tape);
+                monitor.check_result(check)
             }
         };
         for f in &check.firings {

@@ -3,8 +3,7 @@
 //!
 //! * A warmed-up in-process server session with the `ingest` workload's
 //!   safety and stream specs folds 256-event `EventBatch` frames at no
-//!   more than 0.1 allocations per event, and a `Request::Events` frame
-//!   of the same events reaches the identical verdict.
+//!   more than 0.1 allocations per event.
 //! * Folding a batch whose names the spec never mentions allocates
 //!   nothing: tape names are looked up, never interned.
 //! * A display-amplification tape (one long string referenced by many
@@ -12,17 +11,22 @@
 //!   multiple of the tape's size, where owned decoding copies the string
 //!   per event.
 //!
-//! The counter is process-wide (server workers allocate on their own
-//! threads), so the tests take turns.
+//! The server's counter is process-wide (server workers allocate on
+//! their own threads), so the tests take turns. Spans over code that
+//! runs on the calling thread count that thread alone: the test
+//! harness's own threads allocate as tests start and finish, and a
+//! process-wide count of a zero-allocation span then fails at random.
 
 use monitoring_semantics::core::Value;
+use monitoring_semantics::monitor::tape::{fold_views, Resolution};
 use monitoring_semantics::monitor::{Monitor, TapeEvent, TapePhase, ValueDesc};
 use monitoring_semantics::syntax::Annotation;
 use monitoring_semantics::tape::{
     read_tape, write_tape, MonitorServer, Request, Response, ServerConfig, Verdict, ViewDecoder,
 };
-use monitoring_semantics::tspec::{SpecMonitor, SpecResolution};
+use monitoring_semantics::tspec::SpecMonitor;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Mutex;
@@ -34,11 +38,21 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static TURN: Mutex<()> = Mutex::new(());
 
+thread_local! {
+    /// Whether this thread's allocations are being counted on their own.
+    static HERE: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether an allocation made now, on this thread, is counted.
+fn counting() -> bool {
+    ON.load(Ordering::Relaxed) || HERE.try_with(Cell::get).unwrap_or(false)
+}
+
 // SAFETY: every call defers to the system allocator unchanged; the
 // counters are statistics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ON.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
@@ -50,7 +64,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ON.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
@@ -67,6 +81,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     ON.store(true, Ordering::SeqCst);
     let out = f();
     ON.store(false, Ordering::SeqCst);
+    let (a1, b1) = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
+    (out, a1 - a0, b1 - b0)
+}
+
+/// Allocations and bytes allocated by the calling thread while `f` runs.
+fn counted_here<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (a0, b0) = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
+    HERE.with(|here| here.set(true));
+    let out = f();
+    HERE.with(|here| here.set(false));
     let (a1, b1) = (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
     (out, a1 - a0, b1 - b0)
 }
@@ -147,20 +171,19 @@ fn warm_server_ingest_stays_within_a_tenth_of_an_allocation_per_event() {
     for req in batches.by_ref().take(WARM) {
         assert!(server.post(req, acks.clone()));
     }
-    // A round trip: the warm-up batches are folded before counting.
-    verdict(server.request(Request::Events {
+    // A round trip: the warm-up batches are folded before counting. The
+    // barriers are empty batches, encoded before the count starts.
+    let barrier = || Request::EventBatch {
         session: 1,
-        events: Vec::new(),
-    }));
-    let rest: Vec<Request> = batches.collect();
+        tape: write_tape(&[]),
+    };
+    verdict(server.request(barrier()));
+    let (rest, last): (Vec<Request>, Request) = (batches.collect(), barrier());
     let (_, allocs, _) = counted(|| {
         for req in rest {
             assert!(server.post(req, acks.clone()));
         }
-        verdict(server.request(Request::Events {
-            session: 1,
-            events: Vec::new(),
-        }))
+        verdict(server.request(last))
     });
     let per_event = allocs as f64 / (TIMED * BATCH) as f64;
     assert!(
@@ -174,36 +197,6 @@ fn warm_server_ingest_stays_within_a_tenth_of_an_allocation_per_event() {
     drop(acks);
     server.shutdown();
     drain.join().unwrap();
-}
-
-#[test]
-fn per_event_requests_and_batches_reach_identical_verdicts() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    let evs = events(4 * BATCH, 2900);
-    let mut with_done = evs.clone();
-    with_done.push(TapeEvent::done(2900 + evs.len() as u64));
-    for events in [evs, with_done] {
-        let (per_event, batched) = (
-            MonitorServer::start(ServerConfig::default()),
-            MonitorServer::start(ServerConfig::default()),
-        );
-        open(&per_event, 7);
-        open(&batched, 7);
-        for chunk in events.chunks(BATCH) {
-            let a = verdict(per_event.request(Request::Events {
-                session: 7,
-                events: chunk.to_vec(),
-            }));
-            let b = verdict(batched.request(Request::EventBatch {
-                session: 7,
-                tape: write_tape(chunk),
-            }));
-            assert_eq!(a, b);
-        }
-        let (a, b) = (verdict(per_event.close(7)), verdict(batched.close(7)));
-        assert!(a.violation.as_deref().unwrap().contains("post req = -1"));
-        assert_eq!(a, b);
-    }
 }
 
 #[test]
@@ -221,19 +214,25 @@ fn folding_names_the_spec_never_mentions_allocates_nothing() {
     };
     let (warm, tape) = (fresh(0), fresh(1));
     let mut decoder = ViewDecoder::new();
-    let mut res = SpecResolution::default();
+    let mut res = Resolution::default();
     let mut state = m.initial_state();
     let mut fold = |tape: &[u8]| {
         let decoded = decoder.decode(tape).unwrap();
-        res.reset();
-        m.fold_views(&mut state, decoded.events(), &decoded, &mut res, &mut None);
+        fold_views(
+            &m,
+            &mut state,
+            decoded.events(),
+            &decoded,
+            &mut res,
+            &mut None,
+        );
     };
     fold(&warm);
-    let ((), allocs, _) = counted(|| fold(&tape));
+    let ((), allocs, _) = counted_here(|| fold(&tape));
     assert_eq!(allocs, 0, "a batch of unknown names allocated");
     // The owned-event adapter looks names up the same way.
     let owned = read_tape(&tape).unwrap();
-    let ((), allocs, _) = counted(|| {
+    let ((), allocs, _) = counted_here(|| {
         let mut s = m.initial_state();
         for ev in &owned {
             s = match m.advance_tape_event(s, ev) {

@@ -17,13 +17,13 @@
 //!    event over the owned events.
 
 use monitoring_semantics::core::{Env, Value};
-use monitoring_semantics::monitor::tape::{EventView, OwnedViews};
+use monitoring_semantics::monitor::tape::{EventView, OwnedViews, Resolution, TapeFold};
 use monitoring_semantics::monitor::{
     BatchEnd, Budget, FaultPolicy, GuardState, Guarded, Monitor, Outcome, Scope, TapeEvent,
 };
 use monitoring_semantics::monitors::{FaultMode, FaultyMonitor};
 use monitoring_semantics::syntax::{Annotation, Expr};
-use monitoring_semantics::tspec::{SpecMonitor, SpecResolution, SpecState};
+use monitoring_semantics::tspec::{SpecMonitor, SpecState};
 use proptest::prelude::*;
 
 /// Cuts `0..n` into consecutive batches whose lengths come from `cuts`.
@@ -135,7 +135,7 @@ fn spec_batched(
     cuts: &[usize],
 ) -> Report<SpecState> {
     let mut gs = m.initial_state();
-    let mut res = SpecResolution::default();
+    let mut res = Resolution::default();
     for batch in batches(events.len(), cuts) {
         let views = OwnedViews::of(&events[batch.clone()]);
         let evs: &[EventView] = views.views();
@@ -218,7 +218,7 @@ fn a_corrupt_state_is_quarantined_alike() {
     }
     let mut batched = corrupt(m.initial_state());
     let views = OwnedViews::of(&events);
-    let mut res = SpecResolution::default();
+    let mut res = Resolution::default();
     m.guard_batch(
         &mut batched,
         events.len(),

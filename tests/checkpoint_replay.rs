@@ -5,7 +5,7 @@
 //! programs:
 //!
 //! 1. **Batched ≡ per-event ≡ offline** — feeding a session one
-//!    [`Request::Events`] frame per event, feeding another the same
+//!    synchronous one-event batch per event, feeding another the same
 //!    tape as fire-and-forget [`Request::EventBatch`] frames, and
 //!    folding `check_tape` offline all reach the same ingested count,
 //!    earliest-violation offset, and verdict class; cumulative acks
@@ -98,7 +98,7 @@ fn verdict(resp: Response) -> Verdict {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Property 1: the wire shape of ingest — one frame per event,
+    /// Property 1: the wire shape of ingest — one batch per event,
     /// or pipelined tape-image batches — is invisible in the verdict.
     #[test]
     fn batched_pipelined_and_offline_checks_agree(
@@ -118,9 +118,9 @@ proptest! {
         });
         server.open(1, SPEC, false);
         server.open(2, SPEC, false);
-        // Session 1: one synchronous Events frame per event.
+        // Session 1: one synchronous one-event batch per event.
         for ev in &events {
-            server.events(1, vec![ev.clone()]);
+            server.events(1, std::slice::from_ref(ev));
         }
         let per_event = verdict(server.close(1));
         // Session 2: fire-and-forget batches, acked cumulatively.

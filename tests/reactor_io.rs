@@ -9,8 +9,10 @@
 //!   `/proc/self/fd` count where it started: no leaked sockets, dup'd
 //!   reader handles, epoll instances, or eventfds.
 //! * **Sticky client faults** — a broken connection errors the *next*
-//!   `events()`/control call, and every call after that fails
+//!   `send_batch()`/control call, and every call after that fails
 //!   immediately with the original error kind.
+//! * **Retired frames** — a frame with the retired per-event tag 0x02
+//!   gets a typed error, and the connection carries on serving.
 //! * **Parking backpressure** — depth-1 shard queues under concurrent
 //!   producers force the reactor to park read interest; verdicts must
 //!   still match the oracle exactly (no dropped or reordered frames).
@@ -31,8 +33,8 @@ use monitoring_semantics::core::Value;
 use monitoring_semantics::monitor::TapeEvent;
 use monitoring_semantics::syntax::Annotation;
 use monitoring_semantics::tape::{
-    read_frame, serve_tcp_with, serve_unix, write_frame, Client, FrameDecoder, MonitorServer,
-    Request, Response, ServeHandle, ServerConfig, Verdict,
+    read_frame, serve_tcp_with, serve_unix, write_frame, write_tape, Client, FrameDecoder,
+    MonitorServer, Request, Response, ServeHandle, ServerConfig, Verdict,
 };
 use monitoring_semantics::tspec::{SpecMonitor, TapeOutcome};
 use proptest::prelude::*;
@@ -166,9 +168,9 @@ fn socket_dribbles_reach_oracle_verdicts() {
     for chunk in events.chunks(4) {
         dribble_frame(
             &mut sock,
-            &Request::Events {
+            &Request::EventBatch {
                 session: 5,
-                events: chunk.to_vec(),
+                tape: write_tape(chunk),
             }
             .encode(),
         );
@@ -187,6 +189,38 @@ fn socket_dribbles_reach_oracle_verdicts() {
     assert_eq!(v.earliest_violation, want_earliest, "earliest");
 
     drop(sock);
+    handle.stop();
+    server.shutdown();
+}
+
+/// A frame with the retired per-event tag gets a typed error naming the
+/// tag, and the same connection then runs a session to the oracle's
+/// verdict.
+#[test]
+fn a_retired_tag_gets_a_typed_error_and_the_connection_serves_on() {
+    let server = Arc::new(MonitorServer::start(ServerConfig::default()));
+    let handle = serve(&server);
+    let mut sock = TcpStream::connect(handle.addr().unwrap()).unwrap();
+    sock.set_nodelay(true).ok();
+
+    // Tag 0x02, session 1, one `done` event: a per-event frame as old
+    // peers encoded it.
+    write_frame(&mut sock, &[0x02, 1, 1, 0x03, 0, 0]).unwrap();
+    match next_response(&mut sock) {
+        Response::Err(e) => assert!(e.contains("unknown message tag 0x02"), "{e}"),
+        other => panic!("expected an error, got {other:?}"),
+    }
+
+    let mut client = Client::new(sock);
+    let events = tape(20, &[11]);
+    let (want_accept, want_earliest) = oracle(&events);
+    assert_eq!(client.open(1, SPEC, false).unwrap(), Response::Ok);
+    client.send_batch(1, &events).unwrap();
+    let v = verdict(client.close(1).unwrap());
+    assert_eq!(v.ingested, events.len() as u64);
+    assert_eq!(v.accepted, Some(want_accept));
+    assert_eq!(v.earliest_violation, want_earliest);
+
     handle.stop();
     server.shutdown();
 }
@@ -252,7 +286,7 @@ fn connect_disconnect_cycles_leak_no_fds() {
     );
 }
 
-/// A connection whose peer vanished errors the next `events()` call
+/// A connection whose peer vanished errors the next `send_batch()` call
 /// (once the broken pipe surfaces), and every call after that —
 /// including `close()` — fails immediately with the original kind.
 #[test]
@@ -270,12 +304,12 @@ fn broken_connection_errors_next_call_and_stays_failed() {
     // streaming until the failure surfaces (bounded so a regression
     // hangs the loop rather than spinning forever).
     for step in 0..200_000u64 {
-        if let Err(e) = client.events(1, vec![post(1, step)]) {
+        if let Err(e) = client.send_batch(1, &[post(1, step)]) {
             first = Some(e);
             break;
         }
     }
-    let first = first.expect("a dead peer eventually fails events()");
+    let first = first.expect("a dead peer eventually fails send_batch()");
 
     let next = client.close(1).unwrap_err();
     assert_eq!(
@@ -288,11 +322,11 @@ fn broken_connection_errors_next_call_and_stays_failed() {
         "sticky fault names the earlier failure: {next}"
     );
     // Still failing: the fault does not clear.
-    assert!(client.events(1, vec![post(1, 0)]).is_err());
+    assert!(client.send_batch(1, &[post(1, 0)]).is_err());
 }
 
 /// Stopping a reactor-backed server closes its multiplexed connections,
-/// which a streaming client observes as a prompt `events()` error —
+/// which a streaming client observes as a prompt `send_batch()` error —
 /// not a silent hang until `close()`.
 #[test]
 fn reactor_stop_surfaces_as_client_io_error() {
@@ -309,12 +343,12 @@ fn reactor_stop_surfaces_as_client_io_error() {
 
     let mut first = None;
     for step in 0..200_000u64 {
-        if let Err(e) = client.events(9, vec![post(1, step)]) {
+        if let Err(e) = client.send_batch(9, &[post(1, step)]) {
             first = Some(e);
             break;
         }
     }
-    let first = first.expect("a stopped reactor eventually fails events()");
+    let first = first.expect("a stopped reactor eventually fails send_batch()");
     let next = client.close(9).unwrap_err();
     assert_eq!(next.kind(), first.kind());
     server.shutdown();

@@ -84,14 +84,14 @@ fn concurrent_producers_reach_the_offline_verdicts() {
                 // queues churning under the depth-1 bound.
                 let (head, tail) = tape.split_at(tape.len() / 2);
                 for ev in head {
-                    verdict(server.events(i, vec![ev.clone()]));
+                    verdict(server.events(i, std::slice::from_ref(ev)));
                 }
                 if i == SWAPPER {
                     let v = verdict(server.swap(i, ZERO_SPEC));
                     assert!(!v.swap_truncated, "the window covers the whole prefix");
                 }
                 for ev in tail {
-                    verdict(server.events(i, vec![ev.clone()]));
+                    verdict(server.events(i, std::slice::from_ref(ev)));
                 }
                 let v = verdict(server.close(i));
                 let spec = if i == SWAPPER { ZERO_SPEC } else { NEG_SPEC };
@@ -134,15 +134,15 @@ fn tcp_round_trip_with_a_hot_swap() {
     // the next synchronous request (swap or close) is the barrier that
     // proves they were folded.
     let (head, tail) = tape.split_at(tape.len() / 2);
-    alice.events(101, head.to_vec()).unwrap();
-    bob.events(102, tape.clone()).unwrap();
+    alice.send_batch(101, head).unwrap();
+    bob.send_batch(102, &tape).unwrap();
 
     // Alice swaps mid-run: history is re-judged under the new spec.
     // The swap verdict doubles as the barrier for the head frames.
     let v = verdict(alice.swap(101, ZERO_SPEC).unwrap());
     assert!(!v.swap_truncated);
     assert_eq!(v.ingested, head.len() as u64, "swap barriers the head");
-    alice.events(101, tail.to_vec()).unwrap();
+    alice.send_batch(101, tail).unwrap();
 
     let v = verdict(alice.close(101).unwrap());
     let (accepted, earliest) = expected_accepted(&tape, ZERO_SPEC);
@@ -167,7 +167,7 @@ fn unix_socket_round_trip() {
     let mut client = Client::connect_unix(&path).expect("connect");
     let tape = producer_tape(3); // violates NEG_SPEC
     assert_eq!(client.open(7, NEG_SPEC, false).unwrap(), Response::Ok);
-    client.events(7, tape.clone()).unwrap();
+    client.send_batch(7, &tape).unwrap();
     let v = verdict(client.close(7).unwrap());
     assert_eq!(v.ingested, tape.len() as u64);
     let (accepted, earliest) = expected_accepted(&tape, NEG_SPEC);

@@ -15,7 +15,9 @@
 //! 3. **Hot-swap splice ≡ fresh run over the prefix** — `splice_state`
 //!    for a *different* spec equals folding that spec's
 //!    `advance_tape_event` over the same replayed prefix (the server's
-//!    swap semantics, checked against first principles).
+//!    swap semantics, checked against first principles). Property 3b
+//!    swaps a live server session's safety spec, stream spec or both,
+//!    and holds its close verdict to fresh offline folds.
 //!
 //! Properties 4–5 pin the timed format (v2); property 6 checks that the
 //! owned-event adapters, which intern each run's strings, reach exactly
@@ -28,7 +30,9 @@ use monitoring_semantics::monitor::{
 };
 use monitoring_semantics::syntax::gen::{gen_program, sprinkle_annotations, GenConfig};
 use monitoring_semantics::syntax::{Expr, Namespace};
-use monitoring_semantics::tape::{read_tape, splice_state, write_tape};
+use monitoring_semantics::tape::{
+    read_tape, splice_state, write_tape, MonitorServer, Request, Response, ServerConfig,
+};
 use monitoring_semantics::tspec::{SpecMonitor, TapeOutcome};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -226,6 +230,93 @@ proptest! {
         prop_assert_eq!(spliced, s, "splice must equal the fresh replay");
         prop_assert_eq!(earliest, expected_earliest);
     }
+
+    /// Property 3b: a server session swapped to new specs — both at
+    /// once, or either alone — closes with the verdict of fresh offline
+    /// folds of the specs then in force over all its events: violation
+    /// text, earliest violation and acceptance, stream firings and
+    /// misses, each closed the way `Close` closes them.
+    #[test]
+    fn hot_swap_of_either_kind_reaches_the_oracle_verdict(
+        seed: u64,
+        len in 0usize..=160,
+        at in 0usize..=160,
+        timed: bool,
+        kind in 0usize..3,
+        old_safety in 0usize..3,
+        old_stream in 0usize..3,
+        new_safety in 0usize..3,
+        new_stream in 0usize..3,
+        cuts in proptest::collection::vec(1usize..40, 1..10),
+    ) {
+        use monitoring_semantics::stream::StreamMonitor;
+        let events = pooled_events(seed, len, timed, false);
+        let (head, tail) = events.split_at(at.min(events.len()));
+        let (swap_safety, swap_stream) = (kind != 2, kind != 1);
+        let safety = SWAP_SAFETY[if swap_safety { new_safety } else { old_safety }];
+        let stream = SWAP_STREAM[if swap_stream { new_stream } else { old_stream }];
+
+        let server = MonitorServer::start(ServerConfig { shards: 1, ..ServerConfig::default() });
+        let opened =
+            server.open_with_stream(1, SWAP_SAFETY[old_safety], SWAP_STREAM[old_stream], false);
+        prop_assert_eq!(opened, Response::Ok);
+        send_in_cuts(&server, 1, head, &cuts);
+        let swapped = server.request(Request::Swap {
+            session: 1,
+            spec: swap_safety.then(|| safety.to_string()),
+            stream: swap_stream.then(|| stream.to_string()),
+        });
+        prop_assert!(matches!(swapped, Response::Verdict(_)), "{:?}", swapped);
+        send_in_cuts(&server, 1, tail, &cuts);
+        let closed = server.close(1);
+        server.shutdown();
+        let Response::Verdict(v) = closed else {
+            panic!("close: {closed:?}");
+        };
+
+        let m = SpecMonitor::new("session-1", safety).unwrap();
+        let check = m.check_tape(&events);
+        let (violation, accepted) = match m.finish(&check.state) {
+            Ok(_) => (None, true),
+            Err(reason) => (Some(reason), false),
+        };
+        prop_assert_eq!(v.violation, violation);
+        prop_assert_eq!(v.earliest_violation, check.earliest_violation);
+        prop_assert_eq!(v.accepted, Some(accepted));
+        let s = StreamMonitor::new("session-1-stream", stream).unwrap();
+        let finished = s.finish(&s.check_tape(&events).state, None);
+        prop_assert_eq!((v.firings, v.missed), (finished.fired_total, finished.missed_total));
+        prop_assert_eq!(v.ingested, events.len() as u64);
+        prop_assert!(!v.swap_truncated, "the window holds every event");
+    }
+}
+
+/// The safety specs property 3b's sessions open with and swap to.
+const SWAP_SAFETY: [&str; 3] = [
+    "never(post(_) and value < 0)",
+    "always(post(_) => value >= 1)",
+    "eventually(post(_) and value = 7)",
+];
+
+/// The stream specs property 3b's sessions open with and swap to.
+const SWAP_STREAM: [&str; 3] = [
+    "stream neg = count(post(_) and value < 0) over window(16)\ntrigger bad = neg >= 2",
+    "stream pres = count(pre(_)) over window(8)\ntrigger busy = pres >= 3\n\
+     deadline post(_) every 9 ms",
+    "trigger seen = value < 0",
+];
+
+/// Sends `events` to `session` as synchronous batches whose lengths
+/// cycle through `cuts`.
+fn send_in_cuts(server: &MonitorServer, session: u64, mut events: &[TapeEvent], cuts: &[usize]) {
+    for &n in cuts.iter().cycle() {
+        if events.is_empty() {
+            break;
+        }
+        let (batch, rest) = events.split_at(n.min(events.len()));
+        server.events(session, batch);
+        events = rest;
+    }
 }
 
 /// Records `program` with a clocked sink whose (seeded, jittery) clock
@@ -388,9 +479,9 @@ proptest! {
         timed: bool,
         done: bool,
     ) {
-        use monitoring_semantics::stream::{StreamMonitor, StreamResolution};
+        use monitoring_semantics::monitor::tape::{fold_through, Check, Resolution};
+        use monitoring_semantics::stream::StreamMonitor;
         use monitoring_semantics::tape::ViewDecoder;
-        use monitoring_semantics::tspec::SpecResolution;
         let events = pooled_events(seed, len, timed, done);
         let watched = Namespace::new(if anonymous { "" } else { "ns" });
         let src = [
@@ -420,19 +511,18 @@ proptest! {
         let tape = decoder.decode(&bytes).expect("a written tape decodes");
 
         let owned = m.check_tape(&events);
-        let mut fold = m.check_fold(m.initial_state());
-        m.check_views(&mut fold, tape.events(), &tape);
-        let viewed = m.check_result(fold);
+        let mut check = Check::new(m.initial_state());
+        check.fold(&m, tape.events(), &tape);
+        let viewed = m.check_result(check);
         prop_assert_eq!(&owned.outcome, &viewed.outcome, "outcome and reason text");
         prop_assert_eq!(owned.earliest_violation, viewed.earliest_violation);
         prop_assert_eq!(owned.state.state, viewed.state.state, "DFA state");
         prop_assert_eq!(owned.state.events, viewed.state.events, "event count");
 
         let owned = stream.check_tape(&events);
-        let mut state = stream.initial_state();
-        let completed =
-            stream.check_views(&mut state, tape.events(), &tape, &mut StreamResolution::default());
-        let viewed = stream.check_result(state, completed);
+        let mut check = Check::new(stream.initial_state());
+        check.fold(&stream, tape.events(), &tape);
+        let viewed = stream.check_result(check);
         prop_assert_eq!(&owned.firings, &viewed.firings, "stream firings");
         prop_assert_eq!(
             (owned.fired_total, owned.missed, owned.completed),
@@ -441,11 +531,12 @@ proptest! {
 
         let (spliced, earliest) = splice_state(&m, &events);
         let (mut state, mut viewed_earliest) = (m.initial_state(), None);
-        m.fold_through(
+        fold_through(
+            &m,
             &mut state,
             tape.events(),
             &tape,
-            &mut SpecResolution::default(),
+            &mut Resolution::default(),
             &mut viewed_earliest,
         );
         prop_assert_eq!(spliced, state, "splice over owned views ≡ over decoded views");
