@@ -5,6 +5,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
+
 use monsem_syntax::{parse_expr, Expr, Ident, Namespace};
 
 /// The specialization-level workload (experiment E6): `fib n` with its

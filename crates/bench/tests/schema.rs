@@ -10,7 +10,7 @@
 //! with:
 //!
 //! ```text
-//! cargo run --release -p monsem-bench --bin paper_tables -- --table <t> --json .
+//! cargo run --release -p monsem-bench --bin paper_tables -- --table all --json .
 //! ```
 
 use std::path::PathBuf;
@@ -24,8 +24,8 @@ fn root() -> PathBuf {
 }
 
 /// Every snapshot `paper_tables --json` writes, with the field names its
-/// schema promises. Keep in sync with the `points.push`/`format!` bodies
-/// in `src/bin/paper_tables.rs` — a rename there must rename here *and*
+/// schema promises. Keep in sync with the `write_snapshot` calls in
+/// `src/bin/paper_tables.rs` — a rename there must rename here *and*
 /// regenerate the snapshot.
 const SCHEMAS: &[(&str, &str, &[&str])] = &[
     (
@@ -133,6 +133,7 @@ const SCHEMAS: &[(&str, &str, &[&str])] = &[
             "\"streams\"",
             "\"window\"",
             "\"memory_bytes\"",
+            "\"pass_ms\"",
             "\"events_per_ms\"",
         ],
     ),
@@ -211,9 +212,28 @@ const SCHEMAS: &[(&str, &str, &[&str])] = &[
             "\"events_per_ms\"",
             "\"peak_threads\"",
             "\"peak_rss_kb\"",
-            "\"rounds\"",
-            "\"wall_ms_min\"",
-            "\"wall_ms_max\"",
+        ],
+    ),
+    (
+        "BENCH_ablations.json",
+        "ablations",
+        &["\"rows\"", "\"name\"", "\"wall_ms\""],
+    ),
+    (
+        "BENCH_monitor_overhead.json",
+        "monitor_overhead",
+        &["\"workload\"", "\"rows\"", "\"monitor\"", "\"wall_ms\""],
+    ),
+    (
+        "BENCH_cascade.json",
+        "cascade",
+        &[
+            "\"workload\"",
+            "\"depths\"",
+            "\"depth\"",
+            "\"language_modules\"",
+            "\"module\"",
+            "\"wall_ms\"",
         ],
     ),
 ];
@@ -245,6 +265,64 @@ fn checked_in_snapshots_match_the_table_schemas() {
         "stale BENCH snapshots:\n  {}",
         problems.join("\n  ")
     );
+}
+
+/// Every snapshot says where and how it was measured, and every timed
+/// field in it is a spread from the one harness.
+#[test]
+fn every_snapshot_records_its_provenance_and_the_harness_statistic() {
+    let statistic = format!("\"statistic\": {:?}", monsem_bench::harness::statistic());
+    let mut problems: Vec<String> = Vec::new();
+    for (file, _, _) in SCHEMAS {
+        let Ok(body) = std::fs::read_to_string(root().join(file)) else {
+            problems.push(format!("{file}: missing"));
+            continue;
+        };
+        for field in [
+            "\"host_cpus\"",
+            "\"revision\"",
+            "\"q10\"",
+            "\"q50\"",
+            "\"q90\"",
+        ] {
+            if !body.contains(field) {
+                problems.push(format!("{file}: field {field} missing"));
+            }
+        }
+        if !body.contains(&statistic) {
+            problems.push(format!("{file}: not measured with the harness's statistic"));
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "snapshots without provenance:\n  {}",
+        problems.join("\n  ")
+    );
+}
+
+/// `SCHEMAS` and the checked-in snapshots list the same files: a new
+/// table's snapshot cannot go unchecked, and a schema cannot outlive its
+/// table.
+#[test]
+fn every_checked_in_snapshot_has_a_schema() {
+    let mut on_disk: Vec<String> = std::fs::read_dir(root())
+        .expect("repo root lists")
+        .map(|entry| {
+            entry
+                .expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    on_disk.sort();
+    let mut schemas: Vec<String> = SCHEMAS
+        .iter()
+        .map(|(file, _, _)| file.to_string())
+        .collect();
+    schemas.sort();
+    assert_eq!(on_disk, schemas, "checked-in BENCH_*.json vs SCHEMAS");
 }
 
 /// The static-memory claim in the stream snapshot is load-bearing (the

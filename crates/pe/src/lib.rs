@@ -39,10 +39,14 @@
 //! comparison chain, dead sites emit no code, and no monitor object
 //! exists at run time.
 //!
-//! [`pipeline`] packages the four artifact levels for the benchmarks that
-//! reproduce the paper's measurements (tracer ≈ 11% slower than the
-//! standard interpreter at level 1; the level-2 program ≈ 83–85% faster
-//! than the interpreters; Figure 11's linear monitoring cost).
+//! The Figure 10 pipeline as concrete artifacts:
+//!
+//! | level | paper | here |
+//! |---|---|---|
+//! | interpreter | "Int" | [`monsem_core::machine::eval`] on the erased program |
+//! | 1 | interpreter × monitor specs → instrumented interpreter | [`monsem_monitor::machine::eval_monitored`] with a concrete monitor (statically dispatched) |
+//! | 2 | × source program → instrumented program | [`engine::compile_monitored`] (compiled form) and [`instrument()`] (source form) |
+//! | 3 | × partial input → specialized program | [`specialize::specialize_with`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +54,6 @@
 pub mod bta;
 pub mod engine;
 pub mod instrument;
-pub mod pipeline;
 pub mod simplify;
 pub mod specialize;
 pub mod specmon;

@@ -102,11 +102,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Where a shard delivers fire-and-forget outcomes: cumulative acks and
-/// errors for posted event frames, and (on the `Reply::Routed` path)
-/// control replies that must travel back to a connection the worker
-/// cannot block on. The implementations are [`MonitorServer::post`]'s
-/// channel and the reactor's per-connection sink.
+/// Where a shard delivers outcomes: cumulative acks and errors for
+/// posted event frames, and (on the `Reply::Routed` path) request
+/// replies. The implementations are a plain channel
+/// ([`MonitorServer::post`]'s, or [`MonitorServer::request`]'s one-shot
+/// reply) and the reactor's per-connection sink.
 ///
 /// The two delivery guarantees differ deliberately:
 ///
@@ -150,17 +150,15 @@ impl ResponseSink for SyncSender<Response> {
 
 /// Where a job's outcome goes.
 pub(crate) enum Reply {
-    /// Strict request/reply: the caller blocks on this one-shot channel.
-    Sync(SyncSender<Response>),
     /// Fire-and-forget event path: the sink is the poster's channel or
     /// the connection's reactor. Acks are offered per
     /// [`ResponseSink::ack`]; errors go through the must-deliver
     /// [`ResponseSink::send`].
     Acked(Box<dyn ResponseSink>),
-    /// A control request whose reply is delivered through the sink
-    /// instead of a blocking one-shot channel — the reactor's
-    /// nonblocking control path. The reply (whatever it is) is
-    /// [`ResponseSink::send`]-ed.
+    /// A request whose reply (whatever it is) is
+    /// [`ResponseSink::send`]-ed: the one-shot channel a
+    /// [`MonitorServer::request`] caller blocks on, or the reactor's
+    /// nonblocking control path.
     Routed(Box<dyn ResponseSink>),
 }
 
@@ -625,11 +623,6 @@ fn worker(rx: Receiver<Job>, config: ServerConfig) {
     while let Ok(job) = rx.recv() {
         match job {
             Job::Stop => break,
-            Job::Req(req, Reply::Sync(reply)) => {
-                let resp = handle(&mut sessions, &config, &mut decoder, req);
-                // A dead requester is not the worker's problem.
-                let _ = reply.send(resp);
-            }
             Job::Req(req, Reply::Acked(sink)) => {
                 let session = req_session(&req);
                 let folded = match req {
@@ -666,7 +659,8 @@ fn worker(rx: Receiver<Job>, config: ServerConfig) {
             }
             Job::Req(req, Reply::Routed(sink)) => {
                 let resp = handle(&mut sessions, &config, &mut decoder, req);
-                // A dead connection is not the worker's problem.
+                // A dead requester or connection is not the worker's
+                // problem.
                 let _ = sink.send(resp);
             }
         }
@@ -715,7 +709,10 @@ impl MonitorServer {
             return Response::Err("server is shut down".to_string());
         };
         let (reply_tx, reply_rx) = sync_channel(1);
-        if tx.send(Job::Req(req, Reply::Sync(reply_tx))).is_err() {
+        if tx
+            .send(Job::Req(req, Reply::Routed(Box::new(reply_tx))))
+            .is_err()
+        {
             return Response::Err("server is shut down".to_string());
         }
         reply_rx
