@@ -42,7 +42,7 @@ use monsem_core::machine::{eval, eval_with, EvalOptions, LookupMode};
 use monsem_core::{programs, resolve_closed, Env, Value};
 use monsem_monitor::machine::eval_monitored;
 use monsem_monitor::scope::Scope;
-use monsem_monitor::{eval_parallel_with, Monitor, ParOptions};
+use monsem_monitor::{eval_parallel_with, MergeMonitor, Monitor, ParOptions};
 use monsem_monitors::{Collecting, Profiler, Tracer, UnsortedDemon};
 use monsem_pe::bta;
 use monsem_pe::engine::{compile, compile_monitored};
@@ -54,25 +54,40 @@ use std::time::Duration;
 
 /// The stream table asserts that steady-state stream evaluation never
 /// touches the heap, so the whole binary routes allocation through a
-/// counting wrapper around the system allocator. The cost is two relaxed
-/// atomic increments per allocation — noise for the other tables, which
-/// measure in milliseconds.
+/// counting wrapper around the system allocator. Each thread counts its
+/// own allocations: one shared atomic would make the threads of the
+/// fork-join rows contend on every allocation.
 struct CountingAlloc;
 
-static ALLOCATIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread.
+    static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one allocation on the calling thread.
+fn count_allocation() {
+    // A thread that is tearing down its locals goes uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations_here() -> u64 {
+    ALLOCATIONS.with(std::cell::Cell::get)
+}
 
 // SAFETY: defers entirely to the system allocator; the counter is a
-// relaxed atomic with no safety obligations.
+// thread-local statistic with no safety obligations, and its
+// constant-initialized `Cell` needs no allocation to access.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        count_allocation();
         std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
         std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        count_allocation();
         std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size)
     }
 }
@@ -620,6 +635,27 @@ fn tiered(json: Option<&Path>) {
     }
 }
 
+/// Counts the shard states merged at joins (a shard's own count starts
+/// at zero), so a run's count is the number of shards it forked.
+struct Merges;
+impl Monitor for Merges {
+    type State = u64;
+    fn name(&self) -> &str {
+        "merges"
+    }
+    fn initial_state(&self) -> u64 {
+        0
+    }
+}
+impl MergeMonitor for Merges {
+    fn split(&self, _: &u64) -> u64 {
+        0
+    }
+    fn merge(&self, left: u64, right: u64) -> u64 {
+        left + right + 1
+    }
+}
+
 /// Fork-join speedup table (BENCH_parallel): profiler-monitored
 /// `par_fib` / `par_merge_sort` workloads across a thread axis, compared
 /// against the *sequential* monitored machine on the identical program.
@@ -627,16 +663,18 @@ fn tiered(json: Option<&Path>) {
 /// states bit-for-bit; this table records what the parallelism buys in
 /// wall-clock.
 fn parallel(json: Option<&Path>) {
+    const SHARDS: usize = 8;
     header(&format!(
         "Fork-join parallel evaluation: profiler-monitored workloads\n\
-         expectation: ≥ 2× at 4 threads on 8 independent shards (needs ≥ 4 host\n\
-         cores; this host has {}); states identical either way",
+         expectation: ≥ 2× at 4 threads on {SHARDS} independent shards (needs ≥ 4 host\n\
+         cores; this host has {}); every point forks {SHARDS} shards (asserted);\n\
+         states identical either way",
         host_cpus()
     ));
     let profiler = &Profiler::new();
     let workloads = [
-        ("par_fib(8, 21)", par_fib(8, 21)),
-        ("par_merge_sort(8, 220)", par_merge_sort(8, 220)),
+        ("par_fib(8, 21)", par_fib(SHARDS, 21)),
+        ("par_merge_sort(8, 220)", par_merge_sort(SHARDS, 220)),
     ];
     let mut entries: Vec<String> = Vec::new();
     for (name, program) in &workloads {
@@ -659,6 +697,9 @@ fn parallel(json: Option<&Path>) {
             )
             .expect("workload evaluates");
             assert_eq!(seq_out, par_out, "parallel must match sequential exactly");
+            let (_, merged) = eval_parallel_with(program, &Env::empty(), &Merges, 0, popts)
+                .expect("workload evaluates");
+            assert_eq!(merged, SHARDS as u64, "{name} forks its shards");
             rows.push(Box::new(move || {
                 eval_parallel_with(
                     program,
@@ -691,6 +732,7 @@ fn parallel(json: Option<&Path>) {
         }
         entries.push(object(&[
             ("workload", quoted(name)),
+            ("shards_merged", SHARDS.to_string()),
             ("sequential_ms", seq.to_string()),
             ("points", format!("[{}]", points.join(", "))),
         ]));
@@ -1907,9 +1949,9 @@ fn stream(json: Option<&Path>) {
             // Warm one full pass so rings and deques reach steady state,
             // then assert the next pass performs zero heap allocations.
             let s = feed(&m, m.initial_state());
-            let before = ALLOCATIONS.load(std::sync::atomic::Ordering::Relaxed);
+            let before = allocations_here();
             let s = feed(&m, s);
-            let after = ALLOCATIONS.load(std::sync::atomic::Ordering::Relaxed);
+            let after = allocations_here();
             assert_eq!(
                 after - before,
                 0,

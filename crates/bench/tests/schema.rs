@@ -114,6 +114,7 @@ const SCHEMAS: &[(&str, &str, &[&str])] = &[
             "\"unit\"",
             "\"host_cpus\"",
             "\"workloads\"",
+            "\"shards_merged\"",
             "\"sequential_ms\"",
             "\"points\"",
             "\"threads\"",
@@ -370,6 +371,23 @@ fn server_conns_snapshot_covers_the_reactor_with_oracle_checked_verdicts() {
     assert!(
         body.contains("\"conns\": 1024"),
         "the server-conns snapshot must include the C=1024 point"
+    );
+}
+
+/// The forking claim in the parallel snapshot is load-bearing (the bench
+/// asserts it before timing): every workload's run merged its 8 shards,
+/// so the thread axis times fork-join evaluation, not the sequential
+/// machine.
+#[test]
+fn parallel_snapshot_records_forked_workloads() {
+    let body = std::fs::read_to_string(root().join("BENCH_parallel.json"))
+        .expect("BENCH_parallel.json is checked in");
+    let workloads = body.matches("\"workload\":").count();
+    assert!(workloads > 0, "the parallel snapshot must hold workloads");
+    assert_eq!(
+        body.matches("\"shards_merged\": 8").count(),
+        workloads,
+        "every parallel workload must record its 8 merged shards"
     );
 }
 

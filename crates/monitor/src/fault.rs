@@ -192,8 +192,8 @@ pub struct GuardState<S> {
     /// share, as for `events`).
     pub spent: Duration,
     /// The fork-shared budget ledger, installed by
-    /// [`MergeMonitor::fork`]. `None` in sequential runs (and under the
-    /// per-shard opt-in), where the local fields are the whole story.
+    /// [`MergeMonitor::fork`]. `None` in sequential runs, where the local
+    /// fields are the whole story.
     pub ledger: Option<Arc<BudgetLedger>>,
 }
 
@@ -235,7 +235,6 @@ pub struct Guarded<M> {
     inner: M,
     policy: FaultPolicy,
     budget: Budget,
-    per_shard_budgets: bool,
 }
 
 impl<M: Monitor> Guarded<M> {
@@ -247,7 +246,6 @@ impl<M: Monitor> Guarded<M> {
             inner,
             policy: FaultPolicy::default(),
             budget: Budget::default(),
-            per_shard_budgets: false,
         }
     }
 
@@ -260,16 +258,6 @@ impl<M: Monitor> Guarded<M> {
     /// Sets the budget.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Opts back into the historical fork-join accounting: each shard
-    /// meters its budget relative to the fork point instead of charging
-    /// the shared [`BudgetLedger`]. A program can then exceed its budget
-    /// by up to a factor of the shard count — useful only when the budget
-    /// is deliberately a per-shard bound.
-    pub fn per_shard_budgets(mut self, per_shard: bool) -> Self {
-        self.per_shard_budgets = per_shard;
         self
     }
 
@@ -635,15 +623,14 @@ impl<M: Monitor> Monitor for Guarded<M> {
 
 impl<M: MergeMonitor> MergeMonitor for Guarded<M> {
     /// Installs the fork-shared [`BudgetLedger`], seeded with the
-    /// accounting already on record, whenever the budget has a bound and
-    /// the historical per-shard accounting was not opted into. Every
-    /// shard's [`MergeMonitor::split`] then carries the same ledger, so
-    /// the step/wall budget meters the whole monitored history — shards
+    /// accounting already on record, whenever the budget has a bound.
+    /// Every shard's [`MergeMonitor::split`] then carries the same ledger,
+    /// so the step/wall budget meters the whole monitored history — shards
     /// included — exactly as the sequential machine's linear accounting
-    /// does. Nested forks reuse the ledger already in place.
+    /// does. Later and nested forks reuse the ledger already in place.
     fn fork(&self, mut gs: Self::State) -> Self::State {
         let bounded = self.budget.steps.is_some() || self.budget.wall.is_some();
-        if bounded && !self.per_shard_budgets && gs.ledger.is_none() {
+        if bounded && gs.ledger.is_none() {
             gs.ledger = Some(Arc::new(BudgetLedger::seeded(gs.events, gs.spent)));
         }
         gs.state = self.inner.fork(gs.state);
@@ -653,9 +640,7 @@ impl<M: MergeMonitor> MergeMonitor for Guarded<M> {
     /// A shard starts healthy with the inner split state, *zeroed* local
     /// accounting (each shard's events and spent time are its own delta,
     /// summed back at the join), and the fork's shared ledger, against
-    /// which the budget is checked globally. Under
-    /// [`Guarded::per_shard_budgets`] no ledger exists and each shard
-    /// meters its budget relative to the fork point on its own.
+    /// which the budget is checked globally.
     fn split(&self, gs: &Self::State) -> Self::State {
         GuardState {
             state: self.inner.split(&gs.state),

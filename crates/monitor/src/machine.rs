@@ -62,7 +62,7 @@ enum Frame {
     },
     /// Collecting the element values of a `par(e₁, …, eₙ)` left-to-right.
     /// This sequential ordering is the reference semantics for the
-    /// fork-join machine ([`crate::parallel`]): hooks fired inside the
+    /// fork-join evaluation ([`crate::parallel`]): hooks fired inside the
     /// elements observe the same linear event order as any other
     /// expression.
     Par {
@@ -84,6 +84,12 @@ enum State {
     Eval(Arc<Expr>, Env),
     Continue(Value),
 }
+
+/// The fork hook of [`crate::parallel`]: evaluates the elements of a
+/// `par` in `env` from σ, charges the steps they take against the fuel
+/// that remains, and returns the list of their values with the joined σ.
+pub(crate) type Fork<'f, S> =
+    dyn Fn(&[Arc<Expr>], &Env, S, &mut u64) -> Result<(Value, S), EvalError> + 'f;
 
 /// Evaluates the annotated program under monitor `m`, starting from the
 /// monitor's initial state. Returns the pair `(Ans, MS)` — the paper's
@@ -137,8 +143,8 @@ pub fn eval_monitored_with<M: Monitor>(
 
 /// [`eval_monitored_with`] that additionally reports the number of
 /// machine transitions taken — the same count the fuel budget meters, so
-/// callers (the fork-join driver, accounting tests) can charge the steps
-/// a sub-evaluation consumed back against an enclosing budget.
+/// callers (fork-join shards, accounting tests) can charge the steps a
+/// sub-evaluation consumed back against an enclosing budget.
 ///
 /// # Errors
 ///
@@ -242,6 +248,7 @@ pub struct Execution<'m, M: Monitor> {
     fuel: u64,
     initial_fuel: u64,
     by_string: bool,
+    fork: Option<&'m Fork<'m, M::State>>,
 }
 
 impl<'m, M: Monitor> Execution<'m, M> {
@@ -271,7 +278,15 @@ impl<'m, M: Monitor> Execution<'m, M> {
             fuel: options.fuel,
             initial_fuel: options.fuel,
             by_string: options.lookup == LookupMode::ByString,
+            fork: None,
         }
+    }
+
+    /// Hands every `par` of two or more elements this execution evaluates
+    /// to `fork` instead of evaluating the elements in turn.
+    pub(crate) fn forking(mut self, fork: &'m Fork<'m, M::State>) -> Self {
+        self.fork = Some(fork);
+        self
     }
 
     /// Machine transitions taken so far — the count the fuel budget
@@ -456,9 +471,18 @@ impl<'m, M: Monitor> Execution<'m, M> {
                         });
                         State::Eval(a.clone(), env)
                     }
-                    Expr::Par(items) => match items.split_first() {
-                        None => State::Continue(Value::Nil),
-                        Some((first, _)) => {
+                    Expr::Par(items) => match (items.split_first(), self.fork) {
+                        (None, _) => State::Continue(Value::Nil),
+                        (Some(_), Some(fork)) if items.len() > 1 => {
+                            let sigma = self
+                                .sigma
+                                .take()
+                                .ok_or(EvalError::Internal("monitor state missing at fork"))?;
+                            let (list, sigma) = fork(items, &env, sigma, &mut self.fuel)?;
+                            self.sigma = Some(sigma);
+                            State::Continue(list)
+                        }
+                        (Some((first, _)), _) => {
                             self.stack.push(Frame::Par {
                                 items: items.clone(),
                                 done: Vec::new(),

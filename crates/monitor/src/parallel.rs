@@ -3,24 +3,27 @@
 //!
 //! The sequential monitored machine ([`crate::machine`]) gives `par` its
 //! reference semantics — evaluate the elements left-to-right, yield the
-//! list of values, fire hooks in the linear order of §2. This machine
-//! produces the **same answer and the same final monitor state** for any
-//! [`MergeMonitor`] whose split/merge obey the documented laws, but shards
-//! the element evaluations across a [`std::thread::scope`]:
+//! list of values, fire hooks in the linear order of §2. Fork-join
+//! evaluation runs that same machine and produces the **same answer and
+//! the same final monitor state** for any [`MergeMonitor`] whose
+//! split/merge obey the documented laws, but shards the element
+//! evaluations across a [`std::thread::scope`]:
 //!
-//! 1. At a top-level `par` with more than one element, the current
-//!    environment is frozen **once** ([`monsem_core::freeze`]) and each
-//!    element becomes a work item.
+//! 1. Wherever the machine evaluates a `par` with more than one element —
+//!    under `let` or `letrec`, inside a called function, or as the `par`
+//!    that `par_map` rewrites to — it hands the elements to the fork hook.
+//!    The current environment is frozen **once** ([`monsem_core::freeze`])
+//!    and each element becomes a work item.
 //! 2. Each shard starts from [`MergeMonitor::split`] of the fork-point
 //!    state σ, thaws the environment on its worker thread, and runs the
-//!    ordinary sequential monitored machine — so nested `par`s inside a
-//!    shard evaluate sequentially, and every hook, abort, and fault policy
-//!    behaves exactly as in [`crate::machine`].
+//!    plain sequential monitored machine — so `par`s inside a shard
+//!    evaluate sequentially (nesting stays flat), and every hook, abort,
+//!    and fault policy behaves exactly as in [`crate::machine`].
 //! 3. The join merges shard states **deterministically left-to-right**
 //!    with [`MergeMonitor::merge_outcome`], regardless of completion
 //!    order; shard answers are thawed into the result list in element
-//!    order. Determinism is what lets the property tests pin
-//!    `parallel ≡ sequential` bit-for-bit.
+//!    order, and the machine continues with the list. Determinism is what
+//!    lets the property tests pin `parallel ≡ sequential` bit-for-bit.
 //!
 //! Faults follow the PR 2 policy surface: a shard whose *monitor* panics
 //! behaves per its [`Guarded`](crate::fault::Guarded) wrapper on the
@@ -33,46 +36,41 @@
 //!
 //! Resource accounting is **global**, as in the sequential machine:
 //!
-//! * **Fuel** is one shared budget. Sequential segments deduct the steps
-//!   they consumed; at a join, each shard's actual step count is charged
-//!   back to the parent, so the elements of a `par` jointly cannot burn
-//!   more fuel than a sequential run of the same program could. (The
-//!   driver's own spine transitions are not charged, so a parallel run
-//!   may use *slightly less* fuel than the sequential machine — never
-//!   more.)
+//! * **Fuel** is one shared budget. The machine charges its own
+//!   transitions as usual; at a join, each shard's actual step count is
+//!   charged back, so the elements of a `par` jointly cannot burn more
+//!   fuel than a sequential run of the same program could. A shard's
+//!   final transition stands for the sequential machine's return to the
+//!   `par` frame, so a run that succeeds charges exactly the sequential
+//!   step count.
 //! * **Guarded budgets** are metered on a fork-shared
 //!   [`BudgetLedger`](crate::fault::BudgetLedger), installed by
-//!   [`MergeMonitor::fork`] — see [`Guarded`](crate::fault::Guarded),
-//!   whose `per_shard_budgets` builder is the documented opt-in back to
-//!   the historical per-shard accounting.
+//!   [`MergeMonitor::fork`] — see [`Guarded`](crate::fault::Guarded).
 
 use crate::fault::panic_message;
-use crate::machine::eval_monitored_stats_with;
-use crate::scope::Scope;
-use crate::spec::{HookPhase, MergeMonitor, Outcome};
+use crate::machine::{eval_monitored_stats_with, Execution};
+use crate::spec::{MergeMonitor, Outcome};
 use monsem_core::env::Env;
 use monsem_core::error::EvalError;
 use monsem_core::freeze::{freeze, freeze_env, thaw, thaw_env, FrozenValue};
-use monsem_core::machine::{constant, par_map_enter, EvalOptions, LookupMode};
-use monsem_core::prims::Prim;
-use monsem_core::resolve::resolve_for;
-use monsem_core::value::{Closure, Value};
+use monsem_core::machine::{EvalOptions, LookupMode};
+use monsem_core::value::Value;
 use monsem_syntax::Expr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Options for the fork-join machine.
+/// Options for fork-join evaluation.
 #[derive(Debug, Clone)]
 pub struct ParOptions {
     /// Worker threads used per `par` fork. Defaults to the machine's
     /// available parallelism (at least 1). A value of 1 still exercises
     /// the freeze/split/merge path, on the calling thread's schedule.
     pub threads: usize,
-    /// Options threaded into each shard's sequential machine. The fuel
-    /// budget is *global*: shards draw on the one remaining budget, and
-    /// their actual step counts are charged back at the join.
+    /// Options of the monitored machine, threaded into each shard's
+    /// sequential machine. The fuel budget is *global*: shards draw on the
+    /// one remaining budget, and their actual step counts are charged back
+    /// at the join.
     pub eval: EvalOptions,
 }
 
@@ -100,7 +98,8 @@ impl ParOptions {
 /// shard consumed (charged back to the parent's fuel at the join).
 type ShardResult<S> = Result<(FrozenValue, S, u64), EvalError>;
 
-/// Evaluates `expr` under `monitor`, forking at top-level `par` forms.
+/// Evaluates `expr` under `monitor`, forking at every `par` of two or
+/// more elements the monitored machine evaluates.
 ///
 /// Equivalent to [`eval_monitored`](crate::machine::eval_monitored) —
 /// same answer, same final monitor state — whenever the monitor's
@@ -141,184 +140,19 @@ where
     M: MergeMonitor + Sync,
     M::State: Send,
 {
-    // Resolve once up front (as the sequential machines do); the driver
-    // below then evaluates with addresses already in place.
-    let program = match options.eval.lookup {
-        LookupMode::ByAddress => Arc::new(resolve_for(expr, env)),
-        LookupMode::BySymbol | LookupMode::ByString => Arc::new(expr.clone()),
-    };
-    let mut driver_options = options.clone();
-    // The program is already resolved; shards must not resolve again
-    // against their thawed (value-bearing) environments.
-    driver_options.eval.lookup = match options.eval.lookup {
-        LookupMode::ByAddress => LookupMode::BySymbol,
-        other => other,
-    };
-    // The one fuel budget, drawn down by sequential segments and shard
-    // charge-backs alike.
-    let mut fuel = options.eval.fuel;
-    drive(&program, env, monitor, sigma, &driver_options, &mut fuel)
-}
-
-/// Evaluates `expr`, forking at *top-level* `par` forms — a `par` that is
-/// the spine of the program (possibly under annotations, lets, seqs, …)
-/// is found by running the sequential machine until it would evaluate the
-/// `par`, which we do here with a small driver: evaluate the whole
-/// expression sequentially, except that `Expr::Par` nodes reached by this
-/// driver fork.
-///
-/// Rather than duplicating the machine, the driver rewrites the program:
-/// it walks to each `Par` node reachable without entering a lambda and
-/// evaluates those shards in parallel; everything else is delegated to
-/// the sequential monitored machine. `par` forms *inside* functions
-/// called by the program are evaluated sequentially by the shard's
-/// machine — fork-join nesting is deliberately flat (one scope per
-/// top-level `par`).
-fn drive<M>(
-    expr: &Arc<Expr>,
-    env: &Env,
-    monitor: &M,
-    sigma: M::State,
-    options: &ParOptions,
-    fuel: &mut u64,
-) -> Result<(Value, M::State), EvalError>
-where
-    M: MergeMonitor + Sync,
-    M::State: Send,
-{
-    match &**expr {
-        Expr::Par(items) if items.len() > 1 => fork_join(items, env, monitor, sigma, options, fuel),
-        Expr::Par(items) => match items.split_first() {
-            // Degenerate `par`s don't pay for a scope.
-            None => Ok((Value::Nil, sigma)),
-            Some((only, _)) => {
-                let (v, sigma) = drive(only, env, monitor, sigma, options, fuel)?;
-                Ok((Value::list([v]), sigma))
-            }
-        },
-        // Evaluation-order-transparent spine forms: recurse so a `par`
-        // under a `let`, `seq`, annotation, or `if` still forks.
-        Expr::Ann(ann, inner) if !monitor.accepts(ann) => {
-            drive(inner, env, monitor, sigma, options, fuel)
-        }
-        // Accepted annotations bracket the drive of their body with the
-        // same pre/post hooks the sequential machine fires, so
-        // `{μ}:par(…)` still forks.
-        Expr::Ann(ann, inner) => {
-            let sigma = if monitor.accepts_event(ann, HookPhase::Pre) {
-                match monitor.try_pre(ann, inner, &Scope::pure(env), sigma) {
-                    Outcome::Continue(s) => s,
-                    Outcome::Abort {
-                        monitor, reason, ..
-                    } => return Err(EvalError::MonitorAbort { monitor, reason }),
-                }
-            } else {
-                sigma
-            };
-            let (value, sigma) = drive(inner, env, monitor, sigma, options, fuel)?;
-            let sigma = if monitor.accepts_event(ann, HookPhase::Post) {
-                match monitor.try_post(ann, inner, &Scope::pure(env), &value, sigma) {
-                    Outcome::Continue(s) => s,
-                    Outcome::Abort {
-                        monitor, reason, ..
-                    } => return Err(EvalError::MonitorAbort { monitor, reason }),
-                }
-            } else {
-                sigma
-            };
-            Ok((value, sigma))
-        }
-        Expr::Let(x, v, b) => {
-            let (bound, sigma) = drive(v, env, monitor, sigma, options, fuel)?;
-            let env = env.extend(x.clone(), bound);
-            drive(b, &env, monitor, sigma, options, fuel)
-        }
-        Expr::Seq(a, b) => {
-            let (_, sigma) = drive(a, env, monitor, sigma, options, fuel)?;
-            drive(b, env, monitor, sigma, options, fuel)
-        }
-        Expr::If(c, t, e) => {
-            let (cond, sigma) = drive(c, env, monitor, sigma, options, fuel)?;
-            match cond {
-                Value::Bool(true) => drive(t, env, monitor, sigma, options, fuel),
-                Value::Bool(false) => drive(e, env, monitor, sigma, options, fuel),
-                other => Err(EvalError::NonBooleanCondition(other.to_string())),
-            }
-        }
-        // Trivial leaves, evaluated in place.
-        Expr::Con(c) => Ok((constant(c), sigma)),
-        Expr::Lambda(l) => Ok((
-            Value::Closure(Rc::new(Closure {
-                param: l.param.clone(),
-                body: l.body.clone(),
-                env: env.clone(),
-            })),
-            sigma,
-        )),
-        // A saturated top-level `par_map f xs` forks like the `par` it
-        // rewrites to. The machine evaluates the argument before the
-        // function (paper order), so hooks in `xs` fire before hooks in
-        // `f` — `drive` preserves that here.
-        Expr::App(pmf, xs_expr) => {
-            let forked = match &**pmf {
-                Expr::App(pm, f_expr) if resolves_to_par_map(pm, env, options) => Some(f_expr),
-                _ => None,
-            };
-            match forked {
-                Some(f_expr) => {
-                    let (xs, sigma) = drive(xs_expr, env, monitor, sigma, options, fuel)?;
-                    let (f, sigma) = drive(f_expr, env, monitor, sigma, options, fuel)?;
-                    let (par_expr, par_env) = par_map_enter(f, xs)?;
-                    drive(&par_expr, &par_env, monitor, sigma, options, fuel)
-                }
-                None => delegate(expr, env, monitor, sigma, options, fuel),
-            }
-        }
-        // Anything else (letrec, vars, …): hand the subtree to the
-        // sequential monitored machine. `par` forms inside it evaluate
-        // sequentially.
-        _ => delegate(expr, env, monitor, sigma, options, fuel),
+    // Shards evaluate subtrees of the program the machine resolved
+    // against `env`, so they must not resolve again against their thawed
+    // environments; addresses already in place stay valid there.
+    let mut shards = options.clone();
+    if shards.eval.lookup == LookupMode::ByAddress {
+        shards.eval.lookup = LookupMode::BySymbol;
     }
-}
-
-/// Hands a subtree to the sequential monitored machine with the fuel
-/// that remains, and deducts the steps it actually consumed.
-fn delegate<M>(
-    expr: &Arc<Expr>,
-    env: &Env,
-    monitor: &M,
-    sigma: M::State,
-    options: &ParOptions,
-    fuel: &mut u64,
-) -> Result<(Value, M::State), EvalError>
-where
-    M: MergeMonitor + Sync,
-    M::State: Send,
-{
-    let mut eval_options = options.eval.clone();
-    eval_options.fuel = *fuel;
-    let (value, sigma, steps) =
-        eval_monitored_stats_with(expr, env, monitor, sigma, &eval_options)?;
-    *fuel -= steps;
-    Ok((value, sigma))
-}
-
-/// Whether `expr` is a variable that denotes the (unapplied) `par_map`
-/// primitive in `env` — checked through the environment, so a program
-/// that shadows the name keeps its own binding and evaluates sequentially.
-fn resolves_to_par_map(expr: &Expr, env: &Env, options: &ParOptions) -> bool {
-    let v = match expr {
-        Expr::VarAt(_, addr) => Some(env.lookup_addr(addr)),
-        Expr::Var(x) => {
-            if options.eval.lookup == LookupMode::ByString {
-                env.lookup_str(x)
-            } else {
-                env.lookup(x)
-            }
-        }
-        _ => None,
+    let fork = |items: &[Arc<Expr>], env: &Env, sigma: M::State, fuel: &mut u64| {
+        fork_join(items, env, monitor, sigma, &shards, fuel)
     };
-    matches!(v, Some(Value::Prim(Prim::ParMap, args)) if args.is_empty())
+    Execution::new(expr, env, monitor, sigma, &options.eval)
+        .forking(&fork)
+        .finish()
 }
 
 /// The fork-join proper: one scope, `min(threads, n)` workers pulling
@@ -529,5 +363,68 @@ mod tests {
         let par = eval_parallel(&e, &Count).unwrap();
         assert_eq!(par, seq);
         assert_eq!(par.0, Value::list([1, 4, 9, 16, 25].map(Value::Int)));
+    }
+
+    /// Counts the shard states merged at joins. A shard's count starts at
+    /// zero and is added in at the join, so a `par` forked inside a shard
+    /// would show up in the root's count.
+    #[derive(Debug, Clone, Copy)]
+    struct Merges;
+    impl Monitor for Merges {
+        type State = u64;
+        fn name(&self) -> &str {
+            "merges"
+        }
+        fn initial_state(&self) -> u64 {
+            0
+        }
+    }
+    impl MergeMonitor for Merges {
+        fn split(&self, _: &u64) -> u64 {
+            0
+        }
+        fn merge(&self, left: u64, right: u64) -> u64 {
+            left + right + 1
+        }
+    }
+
+    fn merges(src: &str) -> u64 {
+        eval_parallel(&parse_expr(src).unwrap(), &Merges).unwrap().1
+    }
+
+    #[test]
+    fn every_par_the_machine_evaluates_forks() {
+        for (src, shards) in [
+            ("letrec f = lambda n. n * n in par(f 1, f 2, f 3)", 3),
+            // Inside a called function, in argument position.
+            ("let pair = lambda x. par(x, x + 1) in hd (pair 20)", 2),
+            ("letrec sq = lambda x. x * x in par_map sq [1, 2, 3, 4]", 4),
+        ] {
+            assert_eq!(merges(src), shards, "{src}");
+        }
+    }
+
+    #[test]
+    fn pars_inside_shards_evaluate_sequentially() {
+        assert_eq!(merges("par(par(1, 2), par(3, 4, 5))"), 2);
+    }
+
+    #[test]
+    fn a_parallel_run_charges_the_sequential_step_count() {
+        for src in [FIB_PAR, "par(1 + 2, 3 * 4, 5 - 6)"] {
+            let e = parse_expr(src).unwrap();
+            let (_, _, steps) =
+                eval_monitored_stats_with(&e, &Env::empty(), &Count, 0, &EvalOptions::default())
+                    .unwrap();
+            let run = |fuel| {
+                let options = ParOptions {
+                    threads: 2,
+                    eval: EvalOptions::with_fuel(fuel),
+                };
+                eval_parallel_with(&e, &Env::empty(), &Count, 0, &options)
+            };
+            assert_eq!(run(steps), eval_monitored(&e, &Count), "{src}");
+            assert_eq!(run(steps - 1), Err(EvalError::FuelExhausted), "{src}");
+        }
     }
 }

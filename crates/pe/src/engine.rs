@@ -970,28 +970,6 @@ impl CompiledProgram {
         self.run_probed(monitor, options, &mut NoProbe)
     }
 
-    /// Like [`CompiledProgram::run_monitored`], additionally recording
-    /// the pre-abstraction event stream to `sink` — the compiled-engine
-    /// entry point for producing serializable tapes. The tape is closed
-    /// with a `done` marker only when the run succeeds, matching
-    /// `record_monitored` on the interpreter.
-    ///
-    /// # Errors
-    ///
-    /// Any [`EvalError`] the program provokes, including
-    /// [`EvalError::FuelExhausted`].
-    pub fn run_monitored_taped<M: Monitor + Clone>(
-        &self,
-        monitor: &M,
-        sink: &monsem_monitor::SharedSink,
-        options: &EvalOptions,
-    ) -> Result<(Value, M::State), EvalError> {
-        let taping = monsem_monitor::Taping::new(monitor.clone(), sink.clone());
-        let (value, state) = self.run_monitored(&taping, options)?;
-        sink.record_done();
-        Ok((value, state))
-    }
-
     /// Like [`CompiledProgram::run_monitored`], additionally counting
     /// hook firings per annotation site into `stats` — the tiered
     /// pipeline's profiling layer. The counters accumulate, so one table

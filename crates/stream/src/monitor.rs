@@ -38,8 +38,8 @@ use monsem_tspec::SpecError;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default bound on the firings retained in a [`StreamState`] (the
-/// totals keep counting past it).
+/// The bound on the firings retained in a [`StreamState`] (the totals
+/// keep counting past it).
 pub const DEFAULT_FIRINGS_CAP: usize = 256;
 
 /// Default bound on the per-shard replay tape kept by states born from
@@ -53,7 +53,6 @@ pub struct StreamMonitor {
     namespace: Namespace,
     spec: Arc<StreamSpec>,
     enforcing: bool,
-    firings_cap: usize,
     replay_cap: usize,
     epoch: Option<Instant>,
 }
@@ -76,8 +75,8 @@ pub struct Firing {
 }
 
 /// One event retained in a shard's replay tape: exactly the inputs
-/// [`StreamMonitor::step_event`] consumes, with the time already
-/// resolved, so the join replays the shard deterministically.
+/// [`StreamMonitor::step_event`] consumes, so the join replays the shard
+/// deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardEvent {
     /// The hook phase.
@@ -88,8 +87,10 @@ pub struct ShardEvent {
     pub int: Option<i64>,
     /// Whether the observed value was a definitely-unsorted list.
     pub unsorted: bool,
-    /// The resolved monotone timestamp.
-    pub time: u64,
+    /// The event's clock reading (tape timestamp or wall clock). `None`
+    /// under logical time, which the join re-derives from the merged
+    /// event ordinal: a shard's own ordinals count from the fork point.
+    pub time: Option<u64>,
     /// The tape step index, when the shard itself replayed from a tape.
     pub step: Option<u64>,
 }
@@ -145,8 +146,8 @@ pub struct StreamState {
     pub values: Vec<Option<i64>>,
     /// Previous truth of each trigger (for rising-edge detection).
     pub prev: Vec<bool>,
-    /// Retained firings, oldest first (bounded by the monitor's
-    /// firings cap).
+    /// Retained firings, oldest first (at most
+    /// [`DEFAULT_FIRINGS_CAP`]).
     pub firings: Vec<Firing>,
     /// Total firings, including any past the retention cap.
     pub fired_total: u64,
@@ -187,7 +188,6 @@ impl StreamMonitor {
             namespace: Namespace::anonymous(),
             spec: Arc::new(spec),
             enforcing: false,
-            firings_cap: DEFAULT_FIRINGS_CAP,
             replay_cap: DEFAULT_REPLAY_CAP,
             epoch: None,
         }
@@ -203,12 +203,6 @@ impl StreamMonitor {
     /// Restricts the monitor to annotations in `namespace`.
     pub fn in_namespace(mut self, namespace: Namespace) -> Self {
         self.namespace = namespace;
-        self
-    }
-
-    /// Bounds the retained firings (default [`DEFAULT_FIRINGS_CAP`]).
-    pub fn firings_cap(mut self, cap: usize) -> Self {
-        self.firings_cap = cap;
         self
     }
 
@@ -289,10 +283,11 @@ impl StreamMonitor {
     /// states identically.
     ///
     /// `time_hint` is the event's timestamp if one is known (tape v2, or
-    /// a shard replay); otherwise the wall clock or logical time fills
-    /// in. Events at a phase the spec cannot react to are not observed
-    /// at all — the state is returned untouched, which is exactly the
-    /// contract [`Monitor::accepts_event`] gating relies on.
+    /// a shard replay of a clock reading); otherwise the wall clock or
+    /// logical time fills in. Events at a phase the spec cannot react to
+    /// are not observed at all — the state is returned untouched, which
+    /// is exactly the contract [`Monitor::accepts_event`] gating relies
+    /// on.
     pub fn step_event(
         &self,
         mut s: StreamState,
@@ -321,8 +316,8 @@ impl StreamMonitor {
         if !self.observes_phase(ev.phase()) {
             return None;
         }
-        let raw = time_hint.or_else(|| self.wall_now()).unwrap_or(s.events);
-        let t = raw.max(s.last_time);
+        let clock = time_hint.or_else(|| self.wall_now());
+        let t = clock.unwrap_or(s.events).max(s.last_time);
         s.last_time = t;
         if let Some(tape) = &mut s.tape {
             tape.push(ShardEvent {
@@ -330,7 +325,7 @@ impl StreamMonitor {
                 name: ev.name().to_string(),
                 int: ev.int(),
                 unsorted: ev.unsorted(),
-                time: t,
+                time: clock,
                 step,
             });
         }
@@ -392,7 +387,7 @@ impl StreamMonitor {
                 // The reason is rendered only when a retained firing or
                 // an abort carries it: past the firings cap a firing is
                 // counted, not described.
-                let retained = s.firings.len() < self.firings_cap;
+                let retained = s.firings.len() < DEFAULT_FIRINGS_CAP;
                 let aborts = self.enforcing && abort_reason.is_none();
                 if retained || aborts {
                     let reason = format!(
@@ -461,7 +456,7 @@ impl StreamMonitor {
                     s.events,
                     self.render_values(&s.values)
                 );
-                if s.firings.len() < self.firings_cap {
+                if s.firings.len() < DEFAULT_FIRINGS_CAP {
                     s.firings.push(Firing {
                         trigger: tr.name.clone(),
                         at: s.events + 1,
@@ -546,7 +541,7 @@ impl StreamMonitor {
             int: ev.int,
             unsorted: ev.unsorted,
         };
-        self.step_event(state, &view, ev.step, Some(ev.time))
+        self.step_event(state, &view, ev.step, ev.time)
     }
 }
 
@@ -843,7 +838,7 @@ impl MergeMonitor for StreamMonitor {
         acc.fired_total += fresh_firings;
         acc.missed_total += right.missed_total.saturating_sub(tape.origin_missed);
         for f in right.firings.iter().filter(|f| f.at > tape.origin_events) {
-            if acc.firings.len() < self.firings_cap {
+            if acc.firings.len() < DEFAULT_FIRINGS_CAP {
                 acc.firings.push(f.clone());
             }
         }
@@ -1036,6 +1031,26 @@ mod tests {
         assert_eq!(seq, par, "answer and final stream state agree");
         assert_eq!(par.1.events, 6);
         assert!(par.1.tape.is_none(), "the root state records no tape");
+    }
+
+    #[test]
+    fn time_windows_place_forked_events_at_their_merged_ordinals() {
+        // Under logical time an event's time is its ordinal in the whole
+        // run, and a `window(d ms)` places events into panes by time, so
+        // the join must not keep the shards' fork-relative ordinals.
+        let shard = vec!["{p}:1"; 20].join(" + ");
+        let prog = parse_expr(&format!("par({shard}, {shard}, {shard})")).unwrap();
+        let m = StreamMonitor::new(
+            "panes",
+            "stream recent = count(post(p)) over window(32 ms)\n\
+             stream all = count(post(p))",
+        )
+        .unwrap();
+        let seq = eval_monitored(&prog, &m).unwrap();
+        let par = monsem_monitor::eval_parallel(&prog, &m).unwrap();
+        assert_eq!(seq, par, "answer and final stream state agree");
+        assert_eq!(par.1.last_time, 59);
+        assert!(par.1.values[0] < par.1.values[1], "the window slid");
     }
 
     #[test]

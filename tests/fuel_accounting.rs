@@ -115,8 +115,8 @@ fn parallel_fuel_is_charged_globally_at_the_join() {
         eval: EvalOptions::with_fuel(fuel),
     };
 
-    // The parallel driver's spine transitions are uncharged, so the
-    // sequential step count is always a sufficient global budget.
+    // A parallel run charges exactly the sequential step count, so that
+    // count is a sufficient global budget.
     eval_parallel_with(&prog, &Env::empty(), &monitor, (), &par_opts(seq_steps))
         .expect("fuel = sequential steps must suffice in parallel");
 

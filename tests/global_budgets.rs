@@ -2,9 +2,7 @@
 //! meters the whole monitored history through a fork-shared
 //! [`BudgetLedger`], so a parallel run degrades exactly where the
 //! sequential run would — shards can no longer jointly overdraw the
-//! bound by each metering from the fork point. The historical behaviour
-//! remains available behind the documented
-//! [`Guarded::per_shard_budgets`] opt-in.
+//! bound by each metering from the fork point.
 
 use monitoring_semantics::core::machine::EvalOptions;
 use monitoring_semantics::core::Env;
@@ -48,33 +46,14 @@ fn shards_cannot_jointly_overdraw_the_step_budget() {
 }
 
 #[test]
-fn per_shard_opt_in_restores_the_historical_accounting() {
+fn a_sufficient_budget_is_healthy() {
     let prog = parse_expr(PAR_PROG).unwrap();
     let guarded = Guarded::new(counting())
         .policy(FaultPolicy::Quarantine)
-        .budget(steps(5))
-        .per_shard_budgets(true);
+        .budget(steps(8));
     let (_, gs) = eval_parallel(&prog, &guarded).unwrap();
-    assert!(
-        gs.health.is_ok(),
-        "each shard sees only 2 of its own events: {:?}",
-        gs.health
-    );
-    assert_eq!(gs.events, 8, "the join still sums the accounting");
-}
-
-#[test]
-fn a_sufficient_budget_is_healthy_under_both_accountings() {
-    let prog = parse_expr(PAR_PROG).unwrap();
-    for per_shard in [false, true] {
-        let guarded = Guarded::new(counting())
-            .policy(FaultPolicy::Quarantine)
-            .budget(steps(8))
-            .per_shard_budgets(per_shard);
-        let (_, gs) = eval_parallel(&prog, &guarded).unwrap();
-        assert!(gs.health.is_ok(), "per_shard={per_shard}: {:?}", gs.health);
-        assert_eq!(gs.events, 8);
-    }
+    assert!(gs.health.is_ok(), "{:?}", gs.health);
+    assert_eq!(gs.events, 8);
 }
 
 #[test]

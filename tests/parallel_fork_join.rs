@@ -54,9 +54,9 @@ fn par_options(threads: usize) -> ParOptions {
 
 /// Runs both machines and compares results, ignoring fuel-exhaustion
 /// divergence. Fuel is global in both machines (shard steps are charged
-/// back to the parent at the join), but the parallel driver's spine
-/// transitions are uncharged, so a program near the limit may complete
-/// in parallel while the sequential run exhausts.
+/// back to the parent at the join), but a shard that fails reports no
+/// step count, so a run that fails near the limit may exhaust in one
+/// machine and report its error in the other.
 fn assert_parallel_matches_sequential<M>(program: &Expr, monitor: &M, threads: usize)
 where
     M: MergeMonitor + Sync,
