@@ -1059,7 +1059,8 @@ fn tape(json: Option<&Path>) {
     const SPEC: &str = "always(post(B) => value >= 0)";
     const STREAM: &str =
         "stream calls = count(post(B)) over window(64)\ntrigger busy = calls >= 64";
-    /// Events per server request in the ingest row.
+    /// Events per server request in the ingest row, and per tape image
+    /// in the batched encode row.
     const CHUNK: usize = 256;
     let program = labelled_countdown(2000);
     let opts = EvalOptions::default();
@@ -1079,7 +1080,7 @@ fn tape(json: Option<&Path>) {
     let mut decoder = ViewDecoder::new();
     let server = MonitorServer::start(ServerConfig::default());
     let mut session = 0u64;
-    let times: [Spread; 9] = measure(vec![
+    let times: [Spread; 10] = measure(vec![
         monitored_row(&program, &monitor),
         Box::new(|| {
             let mem = MemorySink::new();
@@ -1088,6 +1089,13 @@ fn tape(json: Option<&Path>) {
         }),
         Box::new(|| {
             std::hint::black_box(write_tape(&events));
+        }),
+        // The same events encoded as a socket producer pays per frame:
+        // one tape image per 256-event batch.
+        Box::new(|| {
+            for chunk in events.chunks(CHUNK) {
+                std::hint::black_box(write_tape(chunk));
+            }
         }),
         Box::new(|| {
             std::hint::black_box(read_tape(&bytes).unwrap());
@@ -1137,7 +1145,7 @@ fn tape(json: Option<&Path>) {
     .try_into()
     .expect("one spread per row");
     server.shutdown();
-    let [live, record, encode, decode, check, stream_check, owned_check, view_check, ingest] =
+    let [live, record, encode, encode_batched, decode, check, stream_check, owned_check, view_check, ingest] =
         times.map(|t| t.q50);
 
     let per_ms = |t: f64| n_events as f64 / t;
@@ -1150,6 +1158,7 @@ fn tape(json: Option<&Path>) {
     );
     for (label, t) in [
         ("serialize                      ", encode),
+        ("serialize, batches of 256      ", encode_batched),
         ("deserialize                    ", decode),
         ("offline check                  ", check),
         ("offline stream check           ", stream_check),
@@ -1182,13 +1191,14 @@ fn tape(json: Option<&Path>) {
                 ("live_ms", times[0].to_string()),
                 ("record_ms", times[1].to_string()),
                 ("encode_ms", times[2].to_string()),
-                ("decode_ms", times[3].to_string()),
-                ("check_ms", times[4].to_string()),
+                ("encode_batched_ms", times[3].to_string()),
+                ("decode_ms", times[4].to_string()),
+                ("check_ms", times[5].to_string()),
                 ("check_events_per_ms", format!("{:.1}", per_ms(check))),
                 ("stream_spec", quoted(STREAM)),
-                ("stream_check_ms", times[5].to_string()),
-                ("owned_check_ms", times[6].to_string()),
-                ("view_check_ms", times[7].to_string()),
+                ("stream_check_ms", times[6].to_string()),
+                ("owned_check_ms", times[7].to_string()),
+                ("view_check_ms", times[8].to_string()),
                 (
                     "view_check_events_per_ms",
                     format!("{:.1}", per_ms(view_check)),
@@ -1197,7 +1207,7 @@ fn tape(json: Option<&Path>) {
                     "owned_over_view",
                     format!("{:.2}", owned_check / view_check),
                 ),
-                ("server_ingest_ms", times[8].to_string()),
+                ("server_ingest_ms", times[9].to_string()),
                 ("server_events_per_ms", format!("{:.1}", per_ms(ingest))),
             ],
         );

@@ -150,6 +150,7 @@ const SCHEMAS: &[(&str, &str, &[&str])] = &[
             "\"live_ms\"",
             "\"record_ms\"",
             "\"encode_ms\"",
+            "\"encode_batched_ms\"",
             "\"decode_ms\"",
             "\"check_ms\"",
             "\"check_events_per_ms\"",

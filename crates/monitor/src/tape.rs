@@ -242,7 +242,7 @@ pub fn same_text(a: &str, b: &str) -> bool {
 }
 
 /// FNV-1a over `bytes`: the tape's one string hash (the digest tapes
-/// name specs by, and the key of [`OwnedViews`]' string index).
+/// name specs by, and the key of every [`TextIndex`]).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -252,15 +252,101 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Slots of an [`OwnedViews`] string index before its first growth.
+/// Slots of a [`TextIndex`] before its first growth.
 const INDEX_MIN_SLOTS: usize = 16;
 
-/// Slots an [`OwnedViews`] index probe visits at most. The index keys
-/// text that can come from outside the program (a tape file read with
-/// `read_tape` and checked as owned events), so names crafted to collide
-/// must not make interning quadratic: text whose probe runs longer gets
-/// an unindexed id.
-const INDEX_MAX_PROBES: usize = 16;
+/// Slots a [`TextIndex`] probe visits at most. The index keys text that
+/// can come from outside the program (a tape file read with `read_tape`
+/// and checked as owned events, a producer's event names), so text
+/// crafted to collide must not make interning quadratic: text whose
+/// probe runs longer is not indexed and gets a fresh id.
+pub const INDEX_MAX_PROBES: usize = 16;
+
+/// The tape's one string index: maps text to the id it was interned
+/// under, for [`OwnedViews`] and for `monsem-tape`'s `TapeWriter`.
+///
+/// The caller owns the text. It numbers its strings `0, 1, 2, …` in the
+/// order it stores them and hands [`TextIndex::intern`] the text of an
+/// id on demand. The index is a small open-addressing table keyed by
+/// [`fnv1a`] that doubles at half load and compares through
+/// [`same_text`]. A probe visits at most [`INDEX_MAX_PROBES`] slots, so
+/// text crafted to collide costs extra ids, never quadratic time: ids
+/// need not be unique per text.
+#[derive(Debug, Clone, Default)]
+pub struct TextIndex {
+    /// A string id per slot, [`NO_STRING`] for an empty slot.
+    slots: Vec<u32>,
+    indexed: usize,
+}
+
+impl TextIndex {
+    /// An index that holds `texts` strings before it first grows.
+    pub fn with_capacity(texts: usize) -> TextIndex {
+        let slots = (2 * texts).next_power_of_two().max(INDEX_MIN_SLOTS);
+        TextIndex {
+            slots: vec![NO_STRING; slots],
+            indexed: 0,
+        }
+    }
+
+    /// The id equal text was interned under, or `None` for new text: the
+    /// caller then stores `s` as string `next`, which the index now
+    /// holds unless the probe ran past [`INDEX_MAX_PROBES`] (or `next` is
+    /// [`NO_STRING`]). `text` returns the stored text of an id.
+    #[inline]
+    pub fn intern<'t>(&mut self, s: &str, next: u32, text: impl Fn(u32) -> &'t str) -> Option<u32> {
+        if 2 * (self.indexed + 1) > self.slots.len() {
+            self.grow(&text);
+        }
+        match self.find(s, &text) {
+            Ok(id) => Some(id),
+            Err(slot) => {
+                if let Some(slot) = slot.filter(|_| next != NO_STRING) {
+                    self.slots[slot] = next;
+                    self.indexed += 1;
+                }
+                None
+            }
+        }
+    }
+
+    /// Looks `s` up: its id, or else the empty slot it would take
+    /// (`None` when the probe ran past [`INDEX_MAX_PROBES`]).
+    #[inline]
+    fn find<'t>(&self, s: &str, text: impl Fn(u32) -> &'t str) -> Result<u32, Option<usize>> {
+        let mask = self.slots.len() - 1;
+        let mut slot = fnv1a(s.as_bytes()) as usize & mask;
+        for _ in 0..INDEX_MAX_PROBES {
+            match self.slots[slot] {
+                NO_STRING => return Err(Some(slot)),
+                id if same_text(text(id), s) => return Ok(id),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        Err(None)
+    }
+
+    /// Doubles the slots (or allocates the first ones) and re-places
+    /// every indexed id.
+    fn grow<'t>(&mut self, text: impl Fn(u32) -> &'t str) {
+        let slots = (2 * self.slots.len()).max(INDEX_MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![NO_STRING; slots]);
+        self.indexed = 0;
+        for id in old.into_iter().filter(|&id| id != NO_STRING) {
+            // Indexed texts are distinct, so the probe only finds a slot.
+            if let Err(Some(slot)) = self.find(text(id), &text) {
+                self.slots[slot] = id;
+                self.indexed += 1;
+            }
+        }
+    }
+
+    /// Forgets every id, keeping the slots.
+    pub fn clear(&mut self) {
+        self.slots.fill(NO_STRING);
+        self.indexed = 0;
+    }
+}
 
 /// Views over owned [`TapeEvent`]s: the adapter that lets a `&TapeEvent`
 /// path (an in-memory tape, a [`TapeSink`] recording, a tape read with
@@ -269,19 +355,15 @@ const INDEX_MAX_PROBES: usize = 16;
 ///
 /// Equal namespace or name text gets one id per run, as on a decoded
 /// tape, so a fold resolves each distinct string once per run rather
-/// than once per event. The index is a small open-addressing table keyed
-/// by [`fnv1a`] that doubles at half load; a probe is bounded, so text
-/// crafted to collide costs extra ids, never quadratic time. Displays
-/// keep an id per event: they are only rendered. The buffers, index
-/// included, are reused across [`OwnedViews::clear`].
+/// than once per event; the ids come from a [`TextIndex`]. Displays keep
+/// an id per event: they are only rendered. The buffers, index included,
+/// are reused across [`OwnedViews::clear`].
 #[derive(Debug, Default)]
 pub struct OwnedViews<'a> {
     strings: Vec<&'a str>,
     views: Vec<EventView>,
-    /// Open-addressing index over the interned namespaces and names: a
-    /// string id per slot, [`NO_STRING`] for an empty slot.
-    index: Vec<u32>,
-    interned: usize,
+    /// The index over the interned namespaces and names.
+    index: TextIndex,
 }
 
 impl<'a> OwnedViews<'a> {
@@ -335,58 +417,20 @@ impl<'a> OwnedViews<'a> {
     /// The id of `s` in this run: the id equal text got before, or a new
     /// one.
     fn intern(&mut self, s: &'a str) -> u32 {
-        if 2 * (self.interned + 1) > self.index.len() {
-            self.grow();
+        let next = self.strings.len() as u32;
+        let strings = &self.strings;
+        if let Some(id) = self.index.intern(s, next, |id| strings[id as usize]) {
+            return id;
         }
-        let slot = match self.find(s) {
-            Ok(id) => return id,
-            Err(slot) => slot,
-        };
-        let id = self.strings.len() as u32;
         self.strings.push(s);
-        if let Some(slot) = slot {
-            self.index[slot] = id;
-            self.interned += 1;
-        }
-        id
-    }
-
-    /// Looks `s` up in the index: its id, or else the empty slot it would
-    /// take (`None` when the probe ran past [`INDEX_MAX_PROBES`]).
-    fn find(&self, s: &str) -> Result<u32, Option<usize>> {
-        let mask = self.index.len() - 1;
-        let mut slot = fnv1a(s.as_bytes()) as usize & mask;
-        for _ in 0..INDEX_MAX_PROBES {
-            match self.index[slot] {
-                NO_STRING => return Err(Some(slot)),
-                id if same_text(self.strings[id as usize], s) => return Ok(id),
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-        Err(None)
-    }
-
-    /// Doubles the index (or allocates its first slots) and re-places
-    /// every interned id.
-    fn grow(&mut self) {
-        let slots = (2 * self.index.len()).max(INDEX_MIN_SLOTS);
-        let old = std::mem::replace(&mut self.index, vec![NO_STRING; slots]);
-        self.interned = 0;
-        for id in old.into_iter().filter(|&id| id != NO_STRING) {
-            // Indexed texts are distinct, so the probe only finds a slot.
-            if let Err(Some(slot)) = self.find(self.strings[id as usize]) {
-                self.index[slot] = id;
-                self.interned += 1;
-            }
-        }
+        next
     }
 
     /// Drops the events, keeping the buffers.
     pub fn clear(&mut self) {
         self.strings.clear();
         self.views.clear();
-        self.index.fill(NO_STRING);
-        self.interned = 0;
+        self.index.clear();
     }
 
     /// The views, in event order.

@@ -15,7 +15,9 @@
 //! different spec than the one checkpointed silently falls back to a
 //! full replay rather than seeding from a foreign automaton's state.
 
-use crate::format::{digest64, Checkpoint, StreamCheckpoint, TapeError, TapeWriter, ViewDecoder};
+use crate::format::{
+    digest64, Checkpoint, DecodedTape, StreamCheckpoint, TapeError, TapeWriter, ViewDecoder,
+};
 use monsem_monitor::tape::{fold_through, Check, OwnedViews, Resolution, TapeEvent, TapeFold};
 use monsem_monitor::Monitor;
 use monsem_stream::{restore_state, snapshot_state, StreamCheck, StreamMonitor};
@@ -160,15 +162,29 @@ pub fn check_tape_from(
     tape: &[u8],
     from: u64,
 ) -> Result<SeededCheck<TapeCheck>, TapeError> {
+    with_checkpoints(tape, |decoded, checkpoints| {
+        check_tape_from_decoded(monitor, decoded, checkpoints, from)
+    })
+}
+
+/// [`check_tape_from`] over a tape already decoded, with its
+/// `checkpoints` ([`ViewDecoder::decode_checkpointed`]), so one decode
+/// can serve several checks.
+pub fn check_tape_from_decoded(
+    monitor: &SpecMonitor,
+    tape: &DecodedTape<'_>,
+    checkpoints: &[Checkpoint],
+    from: u64,
+) -> SeededCheck<TapeCheck> {
     let want = spec_digest(monitor.spec().source());
     let states = monitor.automaton().num_states();
-    let seeded = check_seeded(monitor, tape, from, |c| {
+    check_seeded(monitor, tape, checkpoints, from, |c| {
         // A violation inside the skipped prefix is earlier than anything
         // the replay can observe.
         (c.spec_digest == want && c.dfa_state < states)
             .then(|| (seeded_spec_state(c), c.earliest_violation))
-    })?;
-    Ok(seeded.map(|check| monitor.check_result(check)))
+    })
+    .map(|check| monitor.check_result(check))
 }
 
 /// The stream-spec counterpart of [`check_tape_from`]: seeks the last
@@ -185,15 +201,28 @@ pub fn check_stream_from(
     tape: &[u8],
     from: u64,
 ) -> Result<SeededCheck<StreamCheck>, TapeError> {
+    with_checkpoints(tape, |decoded, checkpoints| {
+        check_stream_from_decoded(monitor, decoded, checkpoints, from)
+    })
+}
+
+/// [`check_stream_from`] over a tape already decoded, with its
+/// `checkpoints`, as [`check_tape_from_decoded`].
+pub fn check_stream_from_decoded(
+    monitor: &StreamMonitor,
+    tape: &DecodedTape<'_>,
+    checkpoints: &[Checkpoint],
+    from: u64,
+) -> SeededCheck<StreamCheck> {
     let want = spec_digest(monitor.spec().source());
-    let seeded = check_seeded(monitor, tape, from, |c| {
+    check_seeded(monitor, tape, checkpoints, from, |c| {
         let s = c.stream.as_ref()?;
         if s.spec_digest != want || digest64(&s.snapshot) != s.snapshot_digest {
             return None;
         }
         Some((restore_state(monitor, &s.snapshot).ok()?, None))
-    })?;
-    Ok(seeded.map(|check| monitor.check_result(check)))
+    })
+    .map(|check| monitor.check_result(check))
 }
 
 impl<C> SeededCheck<C> {
@@ -206,20 +235,30 @@ impl<C> SeededCheck<C> {
     }
 }
 
-/// The decode-and-seek both seeded checks share: decodes `tape` into
-/// views once, seeds the check from the last checkpoint at or before
-/// `from` that `seed` accepts (a state and the earliest violation before
-/// it), else from the initial state, and folds the rest.
-fn check_seeded<M: TapeFold>(
-    monitor: &M,
+/// Decodes `tape` into views with its checkpoints and hands both to
+/// `check`.
+fn with_checkpoints<T>(
     tape: &[u8],
-    from: u64,
-    seed: impl Fn(&Checkpoint) -> Option<(M::State, Option<u64>)>,
-) -> Result<SeededCheck<Check<M::State>>, TapeError> {
+    check: impl FnOnce(&DecodedTape<'_>, &[Checkpoint]) -> T,
+) -> Result<T, TapeError> {
     let mut decoder = ViewDecoder::new();
     let mut checkpoints = Vec::new();
     let decoded = decoder.decode_checkpointed(tape, &mut checkpoints)?;
-    let views = decoded.events();
+    Ok(check(&decoded, &checkpoints))
+}
+
+/// The seek both seeded checks share: seeds the check from the last of
+/// `checkpoints` at or before `from` that `seed` accepts (a state and
+/// the earliest violation before it), else from the initial state, and
+/// folds the views after it.
+fn check_seeded<M: TapeFold>(
+    monitor: &M,
+    tape: &DecodedTape<'_>,
+    checkpoints: &[Checkpoint],
+    from: u64,
+    seed: impl Fn(&Checkpoint) -> Option<(M::State, Option<u64>)>,
+) -> SeededCheck<Check<M::State>> {
+    let views = tape.events();
     let total = views.len() as u64;
     let (resumed_at, state, earliest) = checkpoints
         .iter()
@@ -229,12 +268,12 @@ fn check_seeded<M: TapeFold>(
         .unwrap_or_else(|| (0, monitor.initial_state(), None));
     let mut check = Check::new(state);
     check.earliest = earliest;
-    check.fold(monitor, &views[resumed_at as usize..], &decoded);
-    Ok(SeededCheck {
+    check.fold(monitor, &views[resumed_at as usize..], tape);
+    SeededCheck {
         check,
         resumed_at,
         replayed: total - resumed_at,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -56,9 +56,8 @@
 
 use crate::wire::{put_ivarint, put_str, put_uvarint, ByteReader, WireError};
 use monsem_monitor::tape::{
-    fnv1a, EventView, Strings, TapeEvent, TapePhase, TapeSink, ValueDesc, NO_STRING,
+    fnv1a, EventView, Strings, TapeEvent, TapePhase, TapeSink, TextIndex, ValueDesc, NO_STRING,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -166,6 +165,122 @@ impl From<WireError> for TapeError {
     }
 }
 
+/// The one event encoder, behind [`TapeWriter`] and [`write_tape`]: it
+/// appends each event's records to an output buffer and interns the
+/// event's strings through a [`TextIndex`] over the text of every `STR`
+/// record it has written, kept in one arena. A string's id is its `STR`
+/// record's ordinal, so ids follow first use.
+#[derive(Debug, Default)]
+struct Encoder {
+    index: TextIndex,
+    /// The text of every string written, in id order.
+    arena: String,
+    /// Each string's span in `arena`, by id.
+    spans: Vec<(usize, usize)>,
+    timed: bool,
+    last_time: u64,
+}
+
+/// Output bytes [`write_tape`] presizes per event; a denser tape grows
+/// its buffer.
+const PRESIZE_BYTES_PER_EVENT: usize = 16;
+
+/// Most strings an encoder is presized for: one per event (its display)
+/// plus 16 (namespaces and names repeat), up to this many; a longer tape
+/// grows its index as it goes. Arena bytes are presized at 8 per string.
+const PRESIZE_MAX_STRINGS: usize = 4096;
+
+impl Encoder {
+    /// An encoder presized for a tape of `events` events.
+    fn for_events(events: usize, timed: bool) -> Encoder {
+        let strings = events.saturating_add(16).min(PRESIZE_MAX_STRINGS);
+        Encoder {
+            index: TextIndex::with_capacity(strings),
+            arena: String::with_capacity(8 * strings),
+            spans: Vec::with_capacity(strings),
+            timed,
+            last_time: 0,
+        }
+    }
+
+    /// The id of `s`, appending an `STR` record to `out` if `s` is new.
+    #[inline]
+    fn intern(&mut self, out: &mut Vec<u8>, s: &str) -> u64 {
+        let id = self.spans.len();
+        let (arena, spans) = (&self.arena, &self.spans);
+        let next = u32::try_from(id).unwrap_or(NO_STRING);
+        if let Some(known) = self.index.intern(s, next, |i| {
+            let (start, end) = spans[i as usize];
+            &arena[start..end]
+        }) {
+            return u64::from(known);
+        }
+        let start = self.arena.len();
+        self.arena.push_str(s);
+        self.spans.push((start, self.arena.len()));
+        out.push(TAG_STR);
+        put_str(out, s);
+        id as u64
+    }
+
+    /// Appends `event`'s records to `out`.
+    fn event(&mut self, out: &mut Vec<u8>, event: &TapeEvent) {
+        if self.timed {
+            if let Some(t) = event.time {
+                let t = t.max(self.last_time);
+                out.push(TAG_TIME);
+                put_uvarint(out, t - self.last_time);
+                self.last_time = t;
+            }
+        }
+        match event.phase {
+            TapePhase::Pre => {
+                let ns = self.intern(out, &event.namespace);
+                let name = self.intern(out, &event.name);
+                out.push(TAG_PRE);
+                put_uvarint(out, ns);
+                put_uvarint(out, name);
+                put_uvarint(out, event.step);
+            }
+            TapePhase::Post => {
+                let ns = self.intern(out, &event.namespace);
+                let name = self.intern(out, &event.name);
+                let (int, unsorted, display) = match &event.value {
+                    Some(d) => (d.int, d.unsorted, d.display.as_str()),
+                    None => (None, false, ""),
+                };
+                let display = self.intern(out, display);
+                out.push(TAG_POST);
+                put_uvarint(out, ns);
+                put_uvarint(out, name);
+                put_uvarint(out, event.step);
+                let mut flags = 0u8;
+                if int.is_some() {
+                    flags |= FLAG_INT;
+                }
+                if unsorted {
+                    flags |= FLAG_UNSORTED;
+                }
+                out.push(flags);
+                if let Some(n) = int {
+                    put_ivarint(out, n);
+                }
+                put_uvarint(out, display);
+            }
+            TapePhase::Done => {
+                out.push(TAG_DONE);
+                put_uvarint(out, event.step);
+            }
+        }
+    }
+}
+
+/// Appends the tape header for `version` to `out`.
+fn put_header(out: &mut Vec<u8>, version: u16) {
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&version.to_le_bytes());
+}
+
 /// Streams [`TapeEvent`]s to a [`Write`] in the binary format.
 ///
 /// Implements [`TapeSink`], whose `record` cannot fail; write errors are
@@ -174,16 +289,10 @@ impl From<WireError> for TapeError {
 #[derive(Debug)]
 pub struct TapeWriter<W: Write> {
     out: W,
-    strings: HashMap<String, u64>,
-    /// The id of `""`, once interned: answered without a hash lookup,
-    /// whose compare of two empty strings is a zero-length `memcmp` on a
-    /// dangling pointer (see [`monsem_monitor::tape::same_text`]).
-    empty: Option<u64>,
+    encoder: Encoder,
     buf: Vec<u8>,
     error: Option<io::Error>,
-    timed: bool,
     checkpointed: bool,
-    last_time: u64,
 }
 
 impl<W: Write> TapeWriter<W> {
@@ -211,13 +320,13 @@ impl<W: Write> TapeWriter<W> {
     fn with_version(out: W, timed: bool, checkpointed: bool) -> TapeWriter<W> {
         let mut w = TapeWriter {
             out,
-            strings: HashMap::new(),
-            empty: None,
+            encoder: Encoder {
+                timed,
+                ..Encoder::default()
+            },
             buf: Vec::new(),
             error: None,
-            timed,
             checkpointed,
-            last_time: 0,
         };
         let version = if checkpointed {
             VERSION_CHECKPOINT
@@ -226,8 +335,7 @@ impl<W: Write> TapeWriter<W> {
         } else {
             VERSION
         };
-        w.buf.extend_from_slice(&MAGIC);
-        w.buf.extend_from_slice(&version.to_le_bytes());
+        put_header(&mut w.buf, version);
         w.flush_buf();
         w
     }
@@ -273,25 +381,6 @@ impl<W: Write> TapeWriter<W> {
         self.buf.clear();
     }
 
-    fn intern(&mut self, s: &str) -> u64 {
-        let known = if s.is_empty() {
-            self.empty
-        } else {
-            self.strings.get(s).copied()
-        };
-        if let Some(id) = known {
-            return id;
-        }
-        let id = self.strings.len() as u64;
-        self.strings.insert(s.to_string(), id);
-        if s.is_empty() {
-            self.empty = Some(id);
-        }
-        self.buf.push(TAG_STR);
-        put_str(&mut self.buf, s);
-        id
-    }
-
     /// Flushes and returns the underlying writer, or the first write
     /// error encountered.
     ///
@@ -315,53 +404,7 @@ impl<W: Write> TapeWriter<W> {
         if self.error.is_some() {
             return;
         }
-        if self.timed {
-            if let Some(t) = event.time {
-                let t = t.max(self.last_time);
-                self.buf.push(TAG_TIME);
-                put_uvarint(&mut self.buf, t - self.last_time);
-                self.last_time = t;
-            }
-        }
-        match event.phase {
-            TapePhase::Pre => {
-                let ns = self.intern(&event.namespace);
-                let name = self.intern(&event.name);
-                self.buf.push(TAG_PRE);
-                put_uvarint(&mut self.buf, ns);
-                put_uvarint(&mut self.buf, name);
-                put_uvarint(&mut self.buf, event.step);
-            }
-            TapePhase::Post => {
-                let ns = self.intern(&event.namespace);
-                let name = self.intern(&event.name);
-                let (int, unsorted, display) = match &event.value {
-                    Some(d) => (d.int, d.unsorted, d.display.as_str()),
-                    None => (None, false, ""),
-                };
-                let display = self.intern(display);
-                self.buf.push(TAG_POST);
-                put_uvarint(&mut self.buf, ns);
-                put_uvarint(&mut self.buf, name);
-                put_uvarint(&mut self.buf, event.step);
-                let mut flags = 0u8;
-                if int.is_some() {
-                    flags |= FLAG_INT;
-                }
-                if unsorted {
-                    flags |= FLAG_UNSORTED;
-                }
-                self.buf.push(flags);
-                if let Some(n) = int {
-                    put_ivarint(&mut self.buf, n);
-                }
-                put_uvarint(&mut self.buf, display);
-            }
-            TapePhase::Done => {
-                self.buf.push(TAG_DONE);
-                put_uvarint(&mut self.buf, event.step);
-            }
-        }
+        self.encoder.event(&mut self.buf, event);
         self.flush_buf();
     }
 }
@@ -375,14 +418,26 @@ impl<W: Write> TapeSink for TapeWriter<W> {
 /// Serializes `events` into a fresh in-memory tape. Picks the version
 /// automatically: v2 iff any event carries a timestamp (i.e. the
 /// recording had a clock attached), v1 otherwise.
+///
+/// The records go straight into one buffer presized from the event
+/// count. A timed encoder writes `TIME` records only for stamped events,
+/// so on a tape without any it writes exactly the v1 records, and only
+/// the header's version depends on the stamps.
 pub fn write_tape<'a>(events: impl IntoIterator<Item = &'a TapeEvent>) -> Vec<u8> {
-    let events: Vec<&TapeEvent> = events.into_iter().collect();
-    let timed = events.iter().any(|ev| ev.time.is_some());
-    let mut w = TapeWriter::with_version(Vec::new(), timed, false);
+    let events = events.into_iter();
+    let n = events.size_hint().0;
+    let mut out = Vec::with_capacity(n.saturating_mul(PRESIZE_BYTES_PER_EVENT) + MAGIC.len() + 2);
+    put_header(&mut out, VERSION);
+    let mut encoder = Encoder::for_events(n, true);
+    let mut timed = false;
     for ev in events {
-        w.record_ref(ev);
+        timed |= ev.time.is_some();
+        encoder.event(&mut out, ev);
     }
-    w.finish().expect("writing to a Vec cannot fail")
+    if timed {
+        out[MAGIC.len()..MAGIC.len() + 2].copy_from_slice(&VERSION_TIMED.to_le_bytes());
+    }
+    out
 }
 
 /// Parses a binary tape back into its event stream.

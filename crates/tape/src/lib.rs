@@ -49,8 +49,8 @@ pub mod server;
 pub mod wire;
 
 pub use checkpoint::{
-    check_stream_from, check_tape_from, seek_checkpoint, spec_digest, write_tape_checkpointed,
-    SeededCheck,
+    check_stream_from, check_stream_from_decoded, check_tape_from, check_tape_from_decoded,
+    seek_checkpoint, spec_digest, write_tape_checkpointed, SeededCheck,
 };
 pub use format::{
     digest64, read_tape, read_tape_checkpointed, write_tape, Checkpoint, DecodedTape,

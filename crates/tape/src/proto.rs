@@ -205,10 +205,21 @@ fn read_opt_u64(r: &mut ByteReader<'_>) -> Result<Option<u64>, ProtoError> {
     })
 }
 
+/// Payload bytes a request takes beyond its text or tape: a tag, at most
+/// three varints of at most 10 bytes, and two one-byte flags.
+const REQUEST_OVERHEAD: usize = 1 + 3 * 10 + 2;
+
 impl Request {
-    /// Serializes to a frame payload.
+    /// Serializes to a frame payload, allocated once at its full size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let opt_len = |s: &Option<String>| s.as_ref().map_or(0, String::len);
+        let body = match self {
+            Request::Open { spec, stream, .. } => spec.len() + opt_len(stream),
+            Request::Swap { spec, stream, .. } => opt_len(spec) + opt_len(stream),
+            Request::Close { .. } => 0,
+            Request::EventBatch { tape, .. } => tape.len(),
+        };
+        let mut out = Vec::with_capacity(REQUEST_OVERHEAD + body);
         match self {
             Request::Open {
                 session,

@@ -273,7 +273,9 @@ fn cmd_record(args: &[String]) -> Result<(), String> {
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     use monitoring_semantics::monitor::tape::Check;
     use monitoring_semantics::stream::StreamMonitor;
-    use monitoring_semantics::tape::{check_stream_from, check_tape_from, ViewDecoder};
+    use monitoring_semantics::tape::{
+        check_stream_from_decoded, check_tape_from_decoded, ViewDecoder,
+    };
     use monitoring_semantics::tspec::{SpecMonitor, TapeOutcome};
     use monitoring_semantics::Monitor;
     let stream_arg = flag_value(args, "--stream");
@@ -295,10 +297,15 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         _ => return Err("check needs <tape.bin> and a <spec|file> and/or --stream".to_string()),
     };
     let bytes = std::fs::read(tape_path).map_err(|e| format!("cannot read `{tape_path}`: {e}"))?;
-    // One decode into views serves both specs; `--from` checks seek
-    // their own checkpoints.
+    // One decode into views serves both specs, with the checkpoints
+    // `--from` seeks.
     let mut decoder = ViewDecoder::new();
-    let tape = decoder.decode(&bytes).map_err(|e| e.to_string())?;
+    let mut checkpoints = Vec::new();
+    let tape = match from {
+        Some(_) => decoder.decode_checkpointed(&bytes, &mut checkpoints),
+        None => decoder.decode(&bytes),
+    }
+    .map_err(|e| e.to_string())?;
     let mut code = ExitCode::SUCCESS;
     if let Some(spec_arg) = spec_arg {
         let src = load_spec(spec_arg)?;
@@ -310,7 +317,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
             Some(n) => {
                 // Seek to the last checkpoint at or before the offset
                 // (falling back to a full replay when none fits).
-                let seeded = check_tape_from(&monitor, &bytes, n).map_err(|e| e.to_string())?;
+                let seeded = check_tape_from_decoded(&monitor, &tape, &checkpoints, n);
                 eprintln!(
                     "; resumed at event {} ({} of {} replayed)",
                     seeded.resumed_at,
@@ -353,7 +360,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         }
         let check = match from {
             Some(n) => {
-                let seeded = check_stream_from(&monitor, &bytes, n).map_err(|e| e.to_string())?;
+                let seeded = check_stream_from_decoded(&monitor, &tape, &checkpoints, n);
                 eprintln!(
                     "; resumed at event {} ({} of {} replayed)",
                     seeded.resumed_at,

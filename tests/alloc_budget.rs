@@ -10,6 +10,10 @@
 //!   events) decodes into views with allocation bounded by a small
 //!   multiple of the tape's size, where owned decoding copies the string
 //!   per event.
+//! * A producer encodes a 256-event `EventBatch` frame (`write_tape`,
+//!   then `Request::encode`) in at most 16 allocations, whether the
+//!   batch's displays are all distinct or all equal; the frame payload
+//!   itself is one.
 //!
 //! The server's counter is process-wide (server workers allocate on
 //! their own threads), so the tests take turns. Spans over code that
@@ -277,4 +281,35 @@ fn display_amplification_is_not_amplified_by_the_view_decoder() {
     // The owned decoder copies the long string into every event.
     let (_, _, owned) = counted(|| read_tape(&tape).map(|e| e.len()));
     assert!(owned as f64 / tape.len() as f64 > 1000.0);
+}
+
+#[test]
+fn encoding_a_batch_frame_stays_within_sixteen_allocations() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let ann = Annotation::label("req");
+    let posts = |value: fn(usize) -> i64| -> Vec<TapeEvent> {
+        (0..BATCH)
+            .map(|i| TapeEvent::post(&ann, &Value::Int(value(i)), i as u64))
+            .collect()
+    };
+    let batches = [
+        ("distinct displays", posts(|i| 7919 * i as i64 - 1_000_000)),
+        ("equal displays", posts(|_| 7)),
+        ("the workload's mix", events(BATCH, 0)),
+    ];
+    for (what, evs) in &batches {
+        let (payload, allocs, _) = counted_here(|| {
+            Request::EventBatch {
+                session: 1,
+                tape: write_tape(evs),
+            }
+            .encode()
+        });
+        assert!(allocs <= 16, "{what}: {allocs} allocations");
+        let tape = write_tape(evs);
+        let (framed, allocs, _) =
+            counted_here(move || Request::EventBatch { session: 1, tape }.encode());
+        assert_eq!(allocs, 1, "{what}: the payload is allocated once");
+        assert_eq!(framed, payload);
+    }
 }

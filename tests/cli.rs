@@ -195,6 +195,84 @@ fn check_prints_the_owned_checks_verdict_and_firings() {
     assert_eq!(from_zero, full, "--from 0 replays the whole tape");
 }
 
+/// `monsem check <tape> <spec> --stream <spec> --from N` seeds both
+/// checks from its one decode exactly as the byte-slice
+/// `check_tape_from` and `check_stream_from` do: the same verdict and
+/// firing lines, the same resume points, and exit 1 on the violation.
+#[test]
+fn check_from_seeds_both_specs_as_the_library_does() {
+    use monitoring_semantics::stream::StreamMonitor;
+    use monitoring_semantics::tape::{check_stream_from, check_tape_from};
+    use monitoring_semantics::tspec::{SpecMonitor, TapeOutcome};
+
+    const SPEC: &str = "never(post(_) and value < 0)";
+    const STREAM: &str = "stream neg = count(post(_) and value < 0) over window(4)\n\
+                          trigger bad = neg >= 1";
+    const FROM: u64 = 7;
+    let tape = std::env::temp_dir().join(format!("monsem-cli-from-{}.tape", std::process::id()));
+    let tape_arg = tape.to_str().unwrap();
+    let (_, stderr, ok) = monsem(&[
+        "record",
+        "-e",
+        "{a}:1 + {b}:2 + {c}:3 + {d}:(0 - 4) + {e}:5 + {f}:(0 - 6)",
+        "--out",
+        tape_arg,
+        "--spec",
+        SPEC,
+        "--checkpoint-every",
+        "3",
+    ]);
+    assert!(ok, "{stderr}");
+    let from = FROM.to_string();
+    let out = Command::new(env!("CARGO_BIN_EXE_monsem"))
+        .args(["check", tape_arg, SPEC, "--stream", STREAM, "--from", &from])
+        .output()
+        .expect("monsem runs");
+    let bytes = std::fs::read(&tape).unwrap();
+    std::fs::remove_file(&tape).unwrap();
+    assert_eq!(out.status.code(), Some(1), "a violated tape exits 1");
+
+    let safety = check_tape_from(&SpecMonitor::new("check", SPEC).unwrap(), &bytes, FROM).unwrap();
+    let stream = check_stream_from(
+        &StreamMonitor::new("check-stream", STREAM).unwrap(),
+        &bytes,
+        FROM,
+    )
+    .unwrap();
+    assert!(safety.resumed_at > 0, "the safety check seeks a checkpoint");
+    assert_eq!(stream.resumed_at, 0, "no stream snapshot: a full replay");
+    let mut expected = match (&safety.check.outcome, safety.check.earliest_violation) {
+        (TapeOutcome::Violated(reason), Some(step)) => {
+            format!("violated at step {step}: {reason}\n")
+        }
+        other => panic!("the tape violates the spec mid-trace: {other:?}"),
+    };
+    assert!(!stream.check.firings.is_empty(), "{stream:?}");
+    for f in &stream.check.firings {
+        let step = f.step.expect("a tape firing carries its step");
+        expected += &format!("step {step}: {}\n", f.reason);
+    }
+    expected += &format!(
+        "stream: {} firing(s), 0 deadline miss(es) over {} events\n",
+        stream.check.fired_total, stream.check.state.events
+    );
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
+    let resumed: Vec<String> = String::from_utf8(out.stderr)
+        .unwrap()
+        .lines()
+        .filter(|l| l.starts_with("; resumed"))
+        .map(str::to_string)
+        .collect();
+    let line = |s: u64, r: u64| format!("; resumed at event {s} ({r} of {} replayed)", s + r);
+    assert_eq!(
+        resumed,
+        [
+            line(safety.resumed_at, safety.replayed),
+            line(stream.resumed_at, stream.replayed)
+        ]
+    );
+}
+
 /// `monsem serve --io-backend threaded` is refused, and the error says
 /// that backend was removed: the epoll reactor is the only one.
 #[test]

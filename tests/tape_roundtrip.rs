@@ -21,7 +21,8 @@
 //!
 //! Properties 4–5 pin the timed format (v2); property 6 checks that the
 //! owned-event adapters, which intern each run's strings, reach exactly
-//! the view fold's verdicts over the decoded tape.
+//! the view fold's verdicts over the decoded tape. Property 7 holds
+//! every writer to a reference encoder's bytes.
 
 use monitoring_semantics::core::machine::EvalOptions;
 use monitoring_semantics::core::{Env, EvalError};
@@ -541,5 +542,187 @@ proptest! {
         );
         prop_assert_eq!(spliced, state, "splice over owned views ≡ over decoded views");
         prop_assert_eq!(earliest, viewed_earliest);
+    }
+}
+
+/// The reference encoder: the writer as it was before it interned
+/// through the shared text index, one SipHash `HashMap<String, u64>`
+/// with a `String` per distinct text. `timed` is the header version and
+/// whether stamped events get `TIME` records, as for `TapeWriter::timed`.
+fn reference_tape(events: &[TapeEvent], timed: bool) -> Vec<u8> {
+    use monitoring_semantics::tape::wire::{put_ivarint, put_str, put_uvarint};
+    use std::collections::HashMap;
+    let mut out = b"MTAP".to_vec();
+    out.extend_from_slice(&(if timed { 2u16 } else { 1 }).to_le_bytes());
+    let mut strings: HashMap<String, u64> = HashMap::new();
+    let mut intern = |out: &mut Vec<u8>, s: &str| -> u64 {
+        if let Some(&id) = strings.get(s) {
+            return id;
+        }
+        let id = strings.len() as u64;
+        strings.insert(s.to_string(), id);
+        out.push(0x01);
+        put_str(out, s);
+        id
+    };
+    let mut last_time = 0;
+    for ev in events {
+        if let Some(t) = ev.time.filter(|_| timed) {
+            let t = t.max(last_time);
+            out.push(0x05);
+            put_uvarint(&mut out, t - last_time);
+            last_time = t;
+        }
+        match ev.phase {
+            TapePhase::Pre => {
+                let ns = intern(&mut out, &ev.namespace);
+                let name = intern(&mut out, &ev.name);
+                out.push(0x02);
+                put_uvarint(&mut out, ns);
+                put_uvarint(&mut out, name);
+                put_uvarint(&mut out, ev.step);
+            }
+            TapePhase::Post => {
+                let ns = intern(&mut out, &ev.namespace);
+                let name = intern(&mut out, &ev.name);
+                let value = ev.value.clone().unwrap_or_default();
+                let display = intern(&mut out, &value.display);
+                out.push(0x03);
+                put_uvarint(&mut out, ns);
+                put_uvarint(&mut out, name);
+                put_uvarint(&mut out, ev.step);
+                out.push(u8::from(value.int.is_some()) | u8::from(value.unsorted) << 1);
+                if let Some(n) = value.int {
+                    put_ivarint(&mut out, n);
+                }
+                put_uvarint(&mut out, display);
+            }
+            TapePhase::Done => {
+                out.push(0x04);
+                put_uvarint(&mut out, ev.step);
+            }
+        }
+    }
+    out
+}
+
+/// A random event list for the writers: empty, ASCII and multi-byte
+/// namespaces; names and displays drawn from small pools (repeated) or
+/// made per event (unique), some multi-byte; valueless `post`s; `done`
+/// markers anywhere; and, when `stamped`, timestamps on most events that
+/// sometimes step backwards.
+fn mixed_events(seed: u64, len: usize, stamped: bool) -> Vec<TapeEvent> {
+    use monitoring_semantics::monitor::ValueDesc;
+    use rand::Rng;
+    const NAMESPACES: [&str; 4] = ["", "ns", "名前", "ns/λ"];
+    const DISPLAYS: [&str; 6] = ["", "0", "-1", "true", "[1, 2]", "λx. x"];
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len as u64)
+        .map(|step| {
+            let phase = match rng.gen_range(0..10) {
+                0 => TapePhase::Done,
+                1..=3 => TapePhase::Pre,
+                _ => TapePhase::Post,
+            };
+            let mut ev = TapeEvent::done(step);
+            if phase != TapePhase::Done {
+                ev.phase = phase;
+                ev.namespace = NAMESPACES[rng.gen_range(0..4)].to_string();
+                ev.name = match rng.gen_range(0..3) {
+                    0 => format!("n{}", rng.gen_range(0..12)),
+                    1 => format!("名{step}"),
+                    _ => format!("u{step}"),
+                };
+            }
+            if phase == TapePhase::Post && rng.gen_range(0..6) != 0 {
+                let int = rng.gen_range(-40i64..40);
+                ev.value = Some(ValueDesc {
+                    int: (rng.gen_range(0..3) != 0).then_some(int),
+                    unsorted: rng.gen_range(0..4) == 0,
+                    display: match rng.gen_range(0..3) {
+                        0 => DISPLAYS[rng.gen_range(0..6)].to_string(),
+                        1 => int.to_string(),
+                        _ => format!("«{step}»→é"),
+                    },
+                });
+            }
+            if stamped && rng.gen_range(0..4) != 0 {
+                ev.time = Some(step * 3 + rng.gen_range(0..7));
+            }
+            ev
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Property 7: every writer produces the reference encoder's bytes.
+    /// `write_tape` picks the version from the stamps; a `TapeWriter`
+    /// fed through `TapeSink::record` writes v1 or, opened timed, v2.
+    /// Unique names and displays grow the writers' string index past its
+    /// first slots (and `write_tape`'s past its presized ones).
+    #[test]
+    fn every_writer_writes_the_reference_bytes(seed: u64, len in 0usize..=700, stamped: bool) {
+        use monitoring_semantics::monitor::TapeSink;
+        use monitoring_semantics::tape::TapeWriter;
+        let events = mixed_events(seed, len, stamped);
+        let auto = events.iter().any(|ev| ev.time.is_some());
+        prop_assert_eq!(write_tape(&events), reference_tape(&events, auto));
+        for timed in [false, true] {
+            let mut w = if timed {
+                TapeWriter::timed(Vec::new())
+            } else {
+                TapeWriter::new(Vec::new())
+            };
+            for ev in &events {
+                w.record(ev.clone());
+            }
+            prop_assert_eq!(w.finish().unwrap(), reference_tape(&events, timed), "timed: {}", timed);
+        }
+    }
+}
+
+/// Text built to collide under FNV-1a costs the writers extra `STR`
+/// records, not longer probes (the owned views' counterpart is
+/// `colliding_text_costs_ids_not_probes` in `monsem-monitor`), and the
+/// tape still reads back exactly.
+#[test]
+fn colliding_text_costs_the_writer_str_records_not_probes() {
+    use monitoring_semantics::monitor::tape::{fnv1a, INDEX_MAX_PROBES};
+    use monitoring_semantics::monitor::TapeSink;
+    use monitoring_semantics::syntax::Annotation;
+    use monitoring_semantics::tape::{TapeWriter, ViewDecoder};
+    // Names whose FNV-1a hashes agree in their low 12 bits share a home
+    // slot in every index up to 4 096 slots.
+    let home = |n: &str| fnv1a(n.as_bytes()) & 0xfff;
+    let names: Vec<String> = (0u32..)
+        .map(|i| format!("c{i}"))
+        .filter(|n| home(n) == home("c0"))
+        .take(2 * INDEX_MAX_PROBES)
+        .collect();
+    let events: Vec<TapeEvent> = names
+        .iter()
+        .chain(&names)
+        .enumerate()
+        .map(|(step, n)| TapeEvent::pre(&Annotation::label(n.as_str()), step as u64))
+        .collect();
+    let mut w = TapeWriter::new(Vec::new());
+    for ev in &events {
+        w.record(ev.clone());
+    }
+    for bytes in [write_tape(&events), w.finish().unwrap()] {
+        assert_eq!(read_tape(&bytes).unwrap(), events);
+        let mut decoder = ViewDecoder::new();
+        let tape = decoder.decode(&bytes).unwrap();
+        let ids: Vec<u32> = tape.events().iter().map(|v| v.name).collect();
+        let (first, again) = ids.split_at(names.len());
+        let shared = first.iter().zip(again).filter(|(a, b)| a == b).count();
+        assert!(
+            (1..names.len()).contains(&shared),
+            "names past the probe bound are written again: {shared} of {} shared",
+            names.len()
+        );
+        assert!(bytes.len() > reference_tape(&events, false).len());
     }
 }
